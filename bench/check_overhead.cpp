@@ -2,10 +2,9 @@
 // the batched, adaptive-cadence CheckerPool and the block-allocating
 // EventLog.  Two sections:
 //
-//   appender  EventLog::append throughput, T concurrent appender threads,
-//             lock-free ring ingestion vs the spinlocked double-buffer
-//             baseline (Backend::kRing vs kLocked), rings sized to the row
-//             so throughput rows finish with events_lost == 0, plus one
+//   appender  EventLog::append throughput (lock-free ring ingestion), T
+//             concurrent appender threads, rings sized to the row so
+//             throughput rows finish with events_lost == 0, plus one
 //             deliberately undersized single-ring row that exercises the
 //             overflow/loss contract (spill, then exact drop accounting).
 //             Rows where threads > hardware_concurrency are flagged
@@ -13,11 +12,12 @@
 //             machine, so CI skips throughput comparisons on such rows
 //             (but still gates losses and detections).
 //   pool      wl::run_multi_load at M ∈ --monitors for three engine
-//             shapes — per-item (max_batch = 1, the pre-batching loop),
-//             batched (default), batched+adaptive (--max-stretch) — with
-//             injected faults; reports per-check time, dispatches (worker
-//             wake-ups) per 1k checks, batch sizes, coalesced deadlines,
-//             and the detection scorecard.
+//             shapes — batched (default), batched+adaptive (--max-stretch),
+//             batched+prediction — with injected faults; reports per-check
+//             time, dispatches (worker wake-ups) per 1k checks, batch
+//             sizes, coalesced deadlines, and the detection scorecard.
+//             docs/bench-history.md keeps the last numbers of the retired
+//             baselines (spinlocked appender, per-item dispatch).
 //   recovery  wl::run_dining_load with a deterministically deadlocking
 //             ring under each recovery remedy (poison / fault / order);
 //             reports the detection-to-action latency and enforces the
@@ -74,7 +74,6 @@ bool parse_size_list(const std::string& csv, std::vector<std::size_t>* out) {
 }
 
 struct AppenderRow {
-  std::string impl;  ///< "ring" | "locked".
   std::size_t threads = 0;
   std::size_t shards = 0;
   std::uint64_t events = 0;  ///< append() calls issued.
@@ -94,16 +93,12 @@ std::size_t round_up_pow2(std::size_t n) {
 /// One appender row.  ring_capacity == 0 sizes the ring to hold the whole
 /// row (throughput measurement, zero losses expected); a nonzero capacity
 /// deliberately undersizes it to exercise the spill/loss contract.
-AppenderRow bench_appenders(const char* impl, std::size_t threads,
-                            std::size_t shards,
+AppenderRow bench_appenders(std::size_t threads, std::size_t shards,
                             std::uint64_t events_per_thread,
                             std::size_t ring_capacity,
                             std::size_t overflow_capacity, unsigned hardware) {
-  const bool ring = std::string(impl) == "ring";
   trace::EventLog::Options options;
   options.shards = shards;
-  options.backend = ring ? trace::EventLog::Backend::kRing
-                         : trace::EventLog::Backend::kLocked;
   const std::uint64_t per_shard =
       events_per_thread * ((threads + shards - 1) / shards);
   options.ring_capacity = ring_capacity != 0
@@ -128,7 +123,6 @@ AppenderRow bench_appenders(const char* impl, std::size_t threads,
   const auto finished = std::chrono::steady_clock::now();
 
   AppenderRow row;
-  row.impl = impl;
   row.threads = threads;
   row.shards = shards;
   row.events = static_cast<std::uint64_t>(threads) * events_per_thread;
@@ -196,23 +190,21 @@ int main(int argc, char** argv) {
   const unsigned hardware = std::thread::hardware_concurrency();
   std::printf("check_overhead: hardware concurrency = %u\n", hardware);
 
-  // --- Appender throughput: lock-free ring vs spinlocked baseline. -----------
+  // --- Appender throughput: lock-free ring ingestion. ------------------------
   const auto appender_events =
       static_cast<std::uint64_t>(flags.i64("appender-events"));
   std::vector<AppenderRow> appender_rows;
   bool appender_failed = false;
-  std::printf("\n%10s %8s %7s %14s %14s %12s %10s\n", "appenders", "impl",
-              "shards", "events", "events/s", "events-lost", "flags");
-  const auto run_appender_row = [&](const char* impl, std::size_t threads,
-                                    std::size_t shards,
+  std::printf("\n%10s %7s %14s %14s %12s %10s\n", "appenders", "shards",
+              "events", "events/s", "events-lost", "flags");
+  const auto run_appender_row = [&](std::size_t threads, std::size_t shards,
                                     std::size_t ring_capacity,
                                     std::size_t overflow_capacity) {
-    AppenderRow row =
-        bench_appenders(impl, threads, shards, appender_events, ring_capacity,
-                        overflow_capacity, hardware);
-    std::printf("%10zu %8s %7zu %14llu %14.0f %12llu %10s%s\n", row.threads,
-                row.impl.c_str(), row.shards,
-                static_cast<unsigned long long>(row.events),
+    AppenderRow row = bench_appenders(threads, shards, appender_events,
+                                      ring_capacity, overflow_capacity,
+                                      hardware);
+    std::printf("%10zu %7zu %14llu %14.0f %12llu %10s%s\n", row.threads,
+                row.shards, static_cast<unsigned long long>(row.events),
                 row.events_per_sec,
                 static_cast<unsigned long long>(row.events_lost),
                 row.expect_loss ? "overflow" : (row.contended ? "contended"
@@ -225,51 +217,32 @@ int main(int argc, char** argv) {
     appender_rows.push_back(std::move(row));
   };
   for (const std::size_t threads : appender_sweep) {
-    const std::size_t shards =
-        std::min(threads, trace::EventLog::kDefaultShards);
-    run_appender_row("locked", threads, shards, 0, 0);
-    run_appender_row("ring", threads, shards, 0, 0);
+    run_appender_row(threads,
+                     std::min(threads, trace::EventLog::kDefaultShards),
+                     /*ring_capacity=*/0, /*overflow_capacity=*/0);
   }
   // The overflow/loss-contract stress row: every appender contends on one
   // deliberately undersized ring with a stalled drain, so the run must
   // spill to the bounded overflow list and then drop *with accounting*.
   const std::size_t stress_threads =
       *std::max_element(appender_sweep.begin(), appender_sweep.end());
-  run_appender_row("ring", stress_threads, /*shards=*/1,
-                   /*ring_capacity=*/1 << 12, /*overflow_capacity=*/1 << 15);
+  run_appender_row(stress_threads, /*shards=*/1, /*ring_capacity=*/1 << 12,
+                   /*overflow_capacity=*/1 << 15);
 
-  // Headline ratio: ring vs locked at the widest thread count.
-  for (const std::size_t threads : appender_sweep) {
-    double locked = 0.0, ring_rate = 0.0;
-    for (const AppenderRow& row : appender_rows) {
-      if (row.threads != threads || row.expect_loss) continue;
-      (row.impl == "ring" ? ring_rate : locked) = row.events_per_sec;
-    }
-    if (locked > 0 && ring_rate > 0) {
-      std::printf("  ring/locked @ %zu threads: %.2fx%s\n", threads,
-                  ring_rate / locked,
-                  hardware != 0 && threads > hardware
-                      ? " (contended: threads > hardware concurrency)"
-                      : "");
-    }
-  }
-
-  // --- Pool sweep: per-item vs batched vs batched+adaptive vs batched
-  // with the lock-order prediction checkpoint on (the "predict" column
-  // isolates the per-check fold overhead of the order relation; detection
-  // scorecard must stay perfect and zero kPotentialDeadlock may fire).
+  // --- Pool sweep: batched vs batched+adaptive vs batched with the
+  // lock-order prediction checkpoint on (the "predict" column isolates the
+  // per-check fold overhead of the order relation; detection scorecard
+  // must stay perfect and zero kPotentialDeadlock may fire).
   struct Shape {
     const char* name;
-    std::size_t max_batch;
     double max_stretch;
     bool lockorder;
   };
   const double stretch = flags.f64("max-stretch");
   const Shape shapes[] = {
-      {"per-item", 1, 1.0, false},
-      {"batched", 0, 1.0, false},
-      {"adaptive", 0, stretch, false},
-      {"predict", 0, 1.0, true},
+      {"batched", 1.0, false},
+      {"adaptive", stretch, false},
+      {"predict", 1.0, true},
   };
 
   std::vector<PoolRow> pool_rows;
@@ -288,11 +261,9 @@ int main(int argc, char** argv) {
       options.faulty_monitors = std::max<std::size_t>(
           1, static_cast<std::size_t>(static_cast<double>(monitors) *
                                       flags.f64("faulty-fraction")));
-      options.mode = wl::CheckerMode::kSharedPool;
       options.pool_threads =
           static_cast<std::size_t>(flags.i64("pool-threads"));
       options.check_period = flags.i64("check-period-ms") * util::kMillisecond;
-      options.max_batch = shape.max_batch;
       options.max_stretch = shape.max_stretch;
       if (shape.lockorder) {
         options.lockorder_checkpoint_period =
@@ -459,11 +430,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < appender_rows.size(); ++i) {
     const AppenderRow& row = appender_rows[i];
     std::fprintf(out,
-                 "    {\"impl\": \"%s\", \"threads\": %zu, \"shards\": %zu, "
+                 "    {\"impl\": \"ring\", \"threads\": %zu, \"shards\": %zu, "
                  "\"events\": %llu, \"events_per_sec\": %.0f, "
                  "\"events_lost\": %llu, \"contended\": %s, "
                  "\"expect_loss\": %s}%s\n",
-                 row.impl.c_str(), row.threads, row.shards,
+                 row.threads, row.shards,
                  static_cast<unsigned long long>(row.events),
                  row.events_per_sec,
                  static_cast<unsigned long long>(row.events_lost),

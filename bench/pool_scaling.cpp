@@ -1,14 +1,14 @@
-// CheckerPool scaling sweep: M monitors under concurrent client traffic,
-// comparing the original one-detection-thread-per-monitor architecture
-// against the shared deadline-scheduled CheckerPool (K ≤ hardware
-// concurrency workers).
+// CheckerPool scaling sweep: M monitors under concurrent client traffic on
+// one shared deadline-scheduled CheckerPool (K ≤ hardware concurrency
+// workers).
 //
-// For each M in --monitors the bench runs both modes over the same
-// injected-fault workload (a subset of monitors gets one deterministic
-// fault) and reports client throughput, checking throughput, the
-// gate-exclusive quiesce window, and — the point of the refactor — the
-// number of detection threads provisioned.  The run fails (non-zero exit)
-// if any injected fault goes undetected or a clean monitor reports one.
+// For each M in --monitors the bench runs the same injected-fault workload
+// (a subset of monitors gets one deterministic fault) and reports client
+// throughput, checking throughput, the gate-exclusive quiesce window, and
+// the number of detection threads provisioned — K, however large M grows.
+// The run fails (non-zero exit) if any injected fault goes undetected or a
+// clean monitor reports one.  docs/bench-history.md keeps the last numbers
+// of the retired one-thread-per-monitor mode.
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -43,10 +43,6 @@ bool parse_monitor_list(const std::string& csv, std::vector<std::size_t>* out) {
   return !out->empty();
 }
 
-const char* mode_name(wl::CheckerMode mode) {
-  return mode == wl::CheckerMode::kSharedPool ? "shared-pool" : "per-monitor";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,42 +67,32 @@ int main(int argc, char** argv) {
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   std::printf("pool_scaling: hardware concurrency = %u\n", hardware);
-  std::printf(
-      "%8s %12s %9s %12s %10s %12s %12s %10s\n", "monitors", "mode",
-      "chk-thrd", "client-ops/s", "checks/s", "quiesce-us", "faults",
-      "missed");
+  std::printf("%8s %9s %12s %10s %12s %12s %10s\n", "monitors", "chk-thrd",
+              "client-ops/s", "checks/s", "quiesce-us", "faults", "missed");
 
   bool detection_failed = false;
   for (const std::size_t monitors : sweep) {
-    for (const wl::CheckerMode mode :
-         {wl::CheckerMode::kThreadPerMonitor, wl::CheckerMode::kSharedPool}) {
-      wl::MultiLoadOptions options;
-      options.monitors = monitors;
-      options.threads_per_monitor =
-          static_cast<int>(flags.i64("threads-per-monitor"));
-      options.ops_per_thread = flags.i64("ops-per-thread");
-      options.faulty_monitors = std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 static_cast<double>(monitors) * flags.f64("faulty-fraction")));
-      options.mode = mode;
-      options.pool_threads =
-          static_cast<std::size_t>(flags.i64("pool-threads"));
-      options.check_period =
-          flags.i64("check-period-ms") * util::kMillisecond;
+    wl::MultiLoadOptions options;
+    options.monitors = monitors;
+    options.threads_per_monitor =
+        static_cast<int>(flags.i64("threads-per-monitor"));
+    options.ops_per_thread = flags.i64("ops-per-thread");
+    options.faulty_monitors = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               static_cast<double>(monitors) * flags.f64("faulty-fraction")));
+    options.pool_threads = static_cast<std::size_t>(flags.i64("pool-threads"));
+    options.check_period = flags.i64("check-period-ms") * util::kMillisecond;
 
-      const wl::MultiLoadResult result = wl::run_multi_load(options);
-      std::printf("%8zu %12s %9zu %12.0f %10.0f %12.2f %7zu/%zu %10zu\n",
-                  monitors, mode_name(mode), result.checker_threads,
-                  result.ops_per_second, result.checks_per_second,
-                  result.avg_quiesce_us, result.faulty_detected,
-                  result.faults_expected, result.missed_detections);
-      if (result.missed_detections > 0 ||
-          result.false_positive_monitors > 0) {
-        std::printf("  ^ FAILED: %zu missed, %zu false-positive monitors\n",
-                    result.missed_detections,
-                    result.false_positive_monitors);
-        detection_failed = true;
-      }
+    const wl::MultiLoadResult result = wl::run_multi_load(options);
+    std::printf("%8zu %9zu %12.0f %10.0f %12.2f %7zu/%zu %10zu\n", monitors,
+                result.checker_threads, result.ops_per_second,
+                result.checks_per_second, result.avg_quiesce_us,
+                result.faulty_detected, result.faults_expected,
+                result.missed_detections);
+    if (result.missed_detections > 0 || result.false_positive_monitors > 0) {
+      std::printf("  ^ FAILED: %zu missed, %zu false-positive monitors\n",
+                  result.missed_detections, result.false_positive_monitors);
+      detection_failed = true;
     }
   }
   if (detection_failed) {

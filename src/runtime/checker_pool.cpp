@@ -46,10 +46,6 @@ std::size_t clamp_threads(std::size_t requested) {
 CheckerPool::CheckerPool(Options options)
     : clock_(options.clock),
       configured_threads_(clamp_threads(options.threads)),
-      batch_window_(options.batch_window),
-      max_batch_(options.max_batch),
-      backlog_policy_(options.backlog_policy),
-      max_backlog_(options.max_backlog),
       waitfor_period_(options.waitfor_checkpoint_period > 0
                           ? std::max(options.waitfor_checkpoint_period,
                                      kMinPeriodNs)
@@ -527,22 +523,16 @@ void CheckerPool::update_cadence_locked(
   entry.effective_period = std::max<util::TimeNs>(1, effective);
 }
 
-util::TimeNs CheckerPool::next_due_locked(Entry& entry, util::TimeNs due,
+util::TimeNs CheckerPool::next_due_locked(const Entry& entry,
+                                          util::TimeNs due,
                                           util::TimeNs finished) {
   const util::TimeNs period = std::max<util::TimeNs>(1, entry.effective_period);
   const util::TimeNs next = due + period;
   if (next > finished) return next;  // on schedule (includes pulled-forward)
   // The check outlasted its period: `missed` deadlines fell due while it
-  // ran.  kCoalesce slips the grid (the next check's drained segment covers
-  // them); kRunAll re-runs them back-to-back, at most max_backlog deep.
+  // ran.  Slip the grid; the next check's drained segment covers them.
   const std::uint64_t missed =
       static_cast<std::uint64_t>((finished - next) / period) + 1;
-  if (backlog_policy_ == BacklogPolicy::kRunAll) {
-    const std::uint64_t backlog =
-        std::min<std::uint64_t>(missed, max_backlog_);
-    checks_coalesced_.fetch_add(missed - backlog, std::memory_order_relaxed);
-    return finished - static_cast<util::TimeNs>(backlog - 1) * period;
-  }
   checks_coalesced_.fetch_add(missed, std::memory_order_relaxed);
   return finished + period;
 }
@@ -930,18 +920,16 @@ void CheckerPool::worker_loop() {
     }
 
     // --- Form a batch: every monitor due now, plus near-due monitors
-    // within the batch window.  One dispatch amortizes the heap pops, the
-    // condvar wake-up and the rule-clock read across the whole batch.
-    // Batch size cap: an explicit max_batch wins; otherwise split the
-    // backlog across the pool's workers (heap size / K, min 1) so one
-    // worker never serializes a whole due wave while its K-1 peers idle.
-    // On a single-worker pool the auto cap is the full wave.
+    // within one check-period quantum of the head.  One dispatch amortizes
+    // the heap pops, the condvar wake-up and the rule-clock read across
+    // the whole batch.  The batch size cap splits the backlog across the
+    // pool's workers (heap size / K, min 1) so one worker never serializes
+    // a whole due wave while its K-1 peers idle; on a single-worker pool
+    // the cap is the full wave.
     batch.clear();
     const std::size_t batch_cap =
-        max_batch_ != 0
-            ? max_batch_
-            : std::max<std::size_t>(1, heap_.size() / configured_threads_);
-    util::TimeNs window = batch_window_;
+        std::max<std::size_t>(1, heap_.size() / configured_threads_);
+    util::TimeNs window = 0;
     while (!heap_.empty() && batch.size() < batch_cap) {
       const HeapItem item = heap_.top();
       if (item.id < kFirstMonitorId) break;  // checkpoints dispatch alone
@@ -953,7 +941,7 @@ void CheckerPool::worker_loop() {
       }
       if (batch.empty()) {
         if (item.due > now) break;  // head raced away (stale pops)
-        if (window < 0) window = it->second->period;  // auto: head quantum
+        window = it->second->period;
       } else if (item.due > now + window) {
         break;
       }
@@ -999,7 +987,6 @@ void CheckerPool::worker_loop() {
         std::lock_guard<sync::BackendMutex> check_lock(entry.check_mu);
         slot.stats = run_check(entry, rule_now, &slot.occupied);
       }
-      batched_checks_.fetch_add(1, std::memory_order_relaxed);
       // Retire the slot as soon as its check completes — cadence update,
       // reschedule, busy release — so a waiting unschedule()/remove() of
       // this monitor (e.g. a RobustMonitor destructor) resumes after this
@@ -1008,8 +995,8 @@ void CheckerPool::worker_loop() {
       {
         std::lock_guard<sync::BackendMutex> relock(mu_);
         // Deadlines restart from the item's original due time, so checks
-        // the window pulled forward keep their cadence grid; the backlog
-        // policy bounds what happens when a check outlasts its period.
+        // the window pulled forward keep their cadence grid; a check that
+        // outlasted its period slips the grid instead.
         if (entry.scheduled && entry.generation == slot.item.generation) {
           update_cadence_locked(entry, slot.stats, slot.occupied);
           heap_.push({next_due_locked(entry, slot.item.due, wall_now()),

@@ -1,36 +1,32 @@
 // CheckerPool — the sharded, deadline-scheduled, batch-draining detection
-// engine.
+// engine, and the only one: a RobustMonitor without a shared pool owns a
+// one-thread pool of its own.
 //
-// The paper's fault-detection routine (Fig. 1) is specified per monitor, and
-// the first runtime mirrored that: one PeriodicChecker thread per
-// RobustMonitor.  A process with M monitors then pays M mostly-idle threads.
-// The pool inverts the structure: K worker threads (K bounded by hardware
-// concurrency, configurable) share a min-heap of registered monitors ordered
-// by next check deadline (spec.check_period cadence).  When a monitor comes
-// due, one worker quiesces it through *its own* checker gate, drains its
-// event segment, snapshots its scheduling state and runs its Detector — no
-// global stop-the-world across monitors, and the suspend-vs-concurrent
-// choice (hold_gate_during_check) is a per-monitor policy, not a property of
-// the engine.
+// The paper's fault-detection routine (Fig. 1) is specified per monitor;
+// running it on one thread per monitor makes a process with M monitors pay
+// M mostly-idle threads.  The pool inverts the structure: K worker threads
+// (K bounded by hardware concurrency, configurable) share a min-heap of
+// registered monitors ordered by next check deadline (spec.check_period
+// cadence).  When a monitor comes due, one worker quiesces it through *its
+// own* checker gate, drains its event segment, snapshots its scheduling
+// state and runs its Detector — no global stop-the-world across monitors,
+// and the suspend-vs-concurrent choice (hold_gate_during_check) is a
+// per-monitor policy, not a property of the engine.
 //
 // Batched dispatch: a dispatching worker pops not just the due head but
-// every monitor due within Options::batch_window of now (default: one
-// check-period quantum of the head monitor), then runs the batch's checks
-// back-to-back outside the scheduler lock.  This amortizes heap operations,
-// condvar wake-ups, lock acquisitions and rule-clock reads (one
-// Clock::now_ns() per batch, not per check) across the batch — at M=256
-// monitors on one cadence, the per-item loop paid one dispatch per check.
-// Options::max_batch = 1 reproduces the per-item engine (the bench
-// baseline).  Checks pulled forward by the window are rescheduled from
-// their *original* deadline, so the cadence grid is preserved.
+// every monitor due within one check-period quantum of the head monitor,
+// then runs the batch's checks back-to-back outside the scheduler lock.
+// This amortizes heap operations, condvar wake-ups, lock acquisitions and
+// rule-clock reads (one Clock::now_ns() per batch, not per check) across
+// the batch — at M=256 monitors on one cadence, a per-item loop paid one
+// dispatch per check.  Checks pulled forward by the window are rescheduled
+// from their *original* deadline, so the cadence grid is preserved.
 //
-// Backlog policy: when a check outlasts its (effective) period, the next
-// deadline is already in the past.  kCoalesce (default) slips the grid —
-// the missed slots are absorbed by the next check (the drained segment
-// covers them) and counted in checks_coalesced().  kRunAll catches up with
-// back-to-back checks, bounded by Options::max_backlog; slots beyond the
-// bound are coalesced.  Neither policy lets a slow monitor starve the rest
-// of the pool: catch-up items re-enter the shared heap like any other.
+// Backlog: when a check outlasts its (effective) period, the next deadline
+// is already in the past.  The pool slips the grid — the missed slots are
+// absorbed by the next check (the drained segment covers them) and counted
+// in checks_coalesced() — so a slow monitor never starves the rest of the
+// pool.
 //
 // Adaptive cadence: MonitorOptions::max_stretch > 1 lets an *idle* monitor
 // be checked lazily — its effective period stretches geometrically from
@@ -160,38 +156,17 @@ namespace robmon::rt {
 
 class CheckerPool {
  public:
-  /// What to do with the deadlines a monitor missed because its check
-  /// outlasted its (effective) period.
-  enum class BacklogPolicy {
-    kCoalesce,  ///< Slip the grid; the next check absorbs the backlog.
-    kRunAll,    ///< Catch up back-to-back, at most max_backlog deep.
-  };
-
   struct Options {
     /// Worker threads K; 0 means "hardware concurrency".  Always clamped to
     /// [1, hardware concurrency].
     std::size_t threads = 0;
     /// Supplies the timestamps the detection rules evaluate against (Tmax,
     /// Tio, Tlimit).  The check *cadence* is always the backend wall clock,
-    /// like the original PeriodicChecker loop, so a frozen ManualClock
-    /// cannot stall periodic checking.  Defaults to the sync backend's
-    /// clock: real steady_clock normally, the SimScheduler's virtual clock
-    /// under ROBMON_SYNC_BACKEND_SIM — rules and cadence then share one
-    /// deterministic timeline.
+    /// so a frozen ManualClock cannot stall periodic checking.  Defaults to
+    /// the sync backend's clock: real steady_clock normally, the
+    /// SimScheduler's virtual clock under ROBMON_SYNC_BACKEND_SIM — rules
+    /// and cadence then share one deterministic timeline.
     const util::Clock* clock = sync::backend_clock();
-    /// Batch window W: a dispatching worker also drains monitors due within
-    /// W of now, amortizing wake-ups across near-simultaneous deadlines.
-    /// -1 = auto (the dispatch head's own check period — one quantum);
-    /// 0 = only monitors already due.
-    util::TimeNs batch_window = -1;
-    /// Cap on checks per dispatch; 0 = unbounded.  1 reproduces the
-    /// per-item engine (one dispatch per check) — the bench baseline.
-    std::size_t max_batch = 0;
-    /// Missed-deadline handling for checks that outlast their period.
-    BacklogPolicy backlog_policy = BacklogPolicy::kCoalesce;
-    /// kRunAll only: deepest allowed catch-up backlog (checks); missed
-    /// slots beyond it are coalesced.
-    std::size_t max_backlog = 4;
     /// Cadence of the pool-level wait-for checkpoint (wall-clock, like the
     /// check cadence).  0 disables cross-monitor deadlock detection.
     util::TimeNs waitfor_checkpoint_period = 0;
@@ -230,7 +205,7 @@ class CheckerPool {
     kInline,     ///< Calling thread, polled at monitor-exit points.
   };
 
-  /// Per-monitor policy — the knobs PeriodicChecker::Options exposed.
+  /// Per-monitor checking policy.
   struct MonitorOptions {
     /// Keep monitor traffic suspended while the algorithms run (paper
     /// behaviour).  false = release the gate right after the snapshot.
@@ -360,16 +335,12 @@ class CheckerPool {
     return checks_executed_.load(std::memory_order_relaxed);
   }
   /// Worker dispatches: scheduler-lock acquire → run transitions (one per
-  /// batch, plus one per checkpoint pass).  The per-item engine pays one
-  /// per check; dispatches()/checks_executed() is the amortization factor.
+  /// batch, plus one per checkpoint pass); dispatches()/checks_executed()
+  /// is the amortization factor.
   std::uint64_t dispatches() const {
     return dispatches_.load(std::memory_order_relaxed);
   }
-  /// Checks executed by periodic batch dispatch (excludes check_now).
-  std::uint64_t batched_checks() const {
-    return batched_checks_.load(std::memory_order_relaxed);
-  }
-  /// Missed deadlines absorbed by the backlog policy.
+  /// Missed deadlines absorbed by slipping the cadence grid.
   std::uint64_t checks_coalesced() const {
     return checks_coalesced_.load(std::memory_order_relaxed);
   }
@@ -523,8 +494,8 @@ class CheckerPool {
                              const core::Detector::CheckStats& stats,
                              bool occupied);
   /// Next deadline after a check scheduled at `due` finished at `finished`,
-  /// applying the backlog policy.  mu_ held.
-  util::TimeNs next_due_locked(Entry& entry, util::TimeNs due,
+  /// coalescing missed slots.  mu_ held.
+  util::TimeNs next_due_locked(const Entry& entry, util::TimeNs due,
                                util::TimeNs finished);
   /// Handle a due pool-level checkpoint heap item (`id` names which of the
   /// two).  Lock held on entry and exit; released around the pass itself.
@@ -579,10 +550,6 @@ class CheckerPool {
 
   const util::Clock* clock_;
   std::size_t configured_threads_;
-  util::TimeNs batch_window_ = -1;
-  std::size_t max_batch_ = 0;
-  BacklogPolicy backlog_policy_ = BacklogPolicy::kCoalesce;
-  std::size_t max_backlog_ = 4;
   util::TimeNs waitfor_period_ = 0;
   core::ReportSink* waitfor_sink_ = nullptr;
   util::TimeNs lockorder_period_ = 0;
@@ -649,7 +616,6 @@ class CheckerPool {
 
   std::atomic<std::uint64_t> checks_executed_{0};
   std::atomic<std::uint64_t> dispatches_{0};
-  std::atomic<std::uint64_t> batched_checks_{0};
   std::atomic<std::uint64_t> checks_coalesced_{0};
   std::atomic<std::uint64_t> total_quiesce_ns_{0};
   std::atomic<std::uint64_t> total_check_ns_{0};

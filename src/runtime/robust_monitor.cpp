@@ -12,33 +12,29 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
       monitor_(std::move(spec), *options.clock, *options.injection,
                options.instrumentation, options.semantics),
       detector_(monitor_.spec(), monitor_.symbols(), sink) {
-  // One source of truth for the per-monitor checking policy; the two
-  // engine paths only differ in who owns the scheduling thread(s).
   CheckerPool::MonitorOptions policy;
   policy.hold_gate_during_check = options_.hold_gate_during_check;
   policy.contribute_wait_edges = options_.contribute_wait_edges;
   policy.contribute_lock_order = options_.contribute_lock_order;
   policy.max_stretch = options_.cadence_max_stretch;
+  policy.instrumentation = options_.check_instrumentation;
   if (options_.retain_trace) {
     policy.on_checkpoint = [this](const trace::SchedulingState& s) {
       std::lock_guard<std::mutex> lock(checkpoints_mu_);
       checkpoints_.push_back(s);
     };
   }
-  if (options_.checker_pool != nullptr) {
-    policy.instrumentation = options_.check_instrumentation;
-    pool_ = options_.checker_pool;
-    pool_id_ = pool_->add(monitor_, detector_, std::move(policy));
-    inline_mode_ = options_.check_instrumentation ==
-                   CheckerPool::CheckInstrumentation::kInline;
-  } else {
-    PeriodicChecker::Options checker_options;
-    checker_options.hold_gate_during_check = policy.hold_gate_during_check;
-    checker_options.max_stretch = policy.max_stretch;
-    checker_options.on_checkpoint = std::move(policy.on_checkpoint);
-    checker_ = std::make_unique<PeriodicChecker>(
-        monitor_, detector_, *options_.clock, std::move(checker_options));
+  pool_ = options_.checker_pool;
+  if (pool_ == nullptr) {
+    // One engine either way: a monitor without a shared pool gets a
+    // one-thread pool of its own, whose worker spawns on start_checking().
+    own_pool_ = std::make_unique<CheckerPool>(
+        CheckerPool::Options{.threads = 1, .clock = options_.clock});
+    pool_ = own_pool_.get();
   }
+  pool_id_ = pool_->add(monitor_, detector_, std::move(policy));
+  inline_mode_ = options_.check_instrumentation ==
+                 CheckerPool::CheckInstrumentation::kInline;
   if (options_.retain_trace) monitor_.log().set_retention(true);
   const std::string expression = monitor_.spec().effective_path_expression();
   if (!expression.empty()) order_spec_.emplace(expression);
@@ -51,13 +47,7 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
   }
 }
 
-RobustMonitor::~RobustMonitor() {
-  if (pool_ != nullptr) {
-    pool_->remove(pool_id_);
-  } else {
-    checker_->stop();
-  }
-}
+RobustMonitor::~RobustMonitor() { pool_->remove(pool_id_); }
 
 void RobustMonitor::advance_order_matcher(trace::Pid pid,
                                           const std::string& procedure) {
@@ -150,31 +140,21 @@ void RobustMonitor::poll_inline_check() {
 }
 
 void RobustMonitor::start_checking() {
-  if (pool_ != nullptr) {
-    pool_->schedule(pool_id_);
-    if (inline_mode_) {
-      next_inline_check_.store(
-          sync::backend_now() + pool_->period(pool_id_),
-          std::memory_order_relaxed);
-      inline_active_.store(true, std::memory_order_relaxed);
-    }
-  } else {
-    checker_->start();
+  pool_->schedule(pool_id_);
+  if (inline_mode_) {
+    next_inline_check_.store(sync::backend_now() + pool_->period(pool_id_),
+                             std::memory_order_relaxed);
+    inline_active_.store(true, std::memory_order_relaxed);
   }
 }
 
 void RobustMonitor::stop_checking() {
-  if (pool_ != nullptr) {
-    inline_active_.store(false, std::memory_order_relaxed);
-    pool_->unschedule(pool_id_);
-  } else {
-    checker_->stop();
-  }
+  inline_active_.store(false, std::memory_order_relaxed);
+  pool_->unschedule(pool_id_);
 }
 
 core::Detector::CheckStats RobustMonitor::check_now() {
-  if (pool_ != nullptr) return pool_->check_now(pool_id_);
-  return checker_->check_now();
+  return pool_->check_now(pool_id_);
 }
 
 trace::TraceFile RobustMonitor::export_trace() const {

@@ -2,7 +2,8 @@
 // API of the library.  Bundles
 //   * the monitor itself (HoareMonitor: Enter / Wait / Signal-Exit),
 //   * the data-gathering routines (event log + state snapshots),
-//   * the fault-detection routine (Detector + PeriodicChecker thread),
+//   * the fault-detection routine (Detector, checked by a CheckerPool —
+//     a shared one, or a private one-thread pool the monitor owns),
 //   * the real-time calling-order phase (compiled path expression,
 //     advanced at every Enter of a constrained procedure),
 // and reports every detected concurrency-control fault to the caller's
@@ -28,7 +29,6 @@
 #include "core/fault.hpp"
 #include "core/monitor_spec.hpp"
 #include "pathexpr/matcher.hpp"
-#include "runtime/checker.hpp"
 #include "runtime/checker_pool.hpp"
 #include "runtime/hoare_monitor.hpp"
 #include "trace/codec.hpp"
@@ -55,11 +55,10 @@ class RobustMonitor {
     /// Retain the full event history and checkpoint states so that
     /// export_trace() can produce a replayable trace.
     bool retain_trace = false;
-    /// Shared detection engine.  When set, this monitor registers with the
-    /// pool (deadline-scheduled across K worker threads) instead of
-    /// spawning a private PeriodicChecker thread; the pool must outlive the
-    /// monitor.  hold_gate_during_check stays a per-monitor policy either
-    /// way.
+    /// Shared detection engine (deadline-scheduled across K worker
+    /// threads); the pool must outlive the monitor.  When null, the
+    /// monitor owns a private one-thread CheckerPool on `clock` instead.
+    /// Either way every knob below applies identically.
     CheckerPool* checker_pool = nullptr;
     /// Contribute this monitor's snapshots to the pool's cross-monitor
     /// wait-for graph (only meaningful when the pool has its wait-for
@@ -69,16 +68,14 @@ class RobustMonitor {
     /// prediction relation (only meaningful when the pool has its
     /// prediction checkpoint enabled).
     bool contribute_lock_order = true;
-    /// Where the checking routine runs when checker_pool is set.
+    /// Where the checking routine runs.
     /// kOffloaded (default): the pool's worker threads, asynchronously.
     /// kInline: synchronously on the calling thread — exit() and
     /// signal_exit() poll the pool once the monitor's effective period has
     /// elapsed (the detectEr-style synchronous instrumentation choice; the
     /// steady per-operation cost is one clock read and one atomic compare).
     /// The pool's budget controller may temporarily offload an inline
-    /// monitor under pressure; polling resumes when it recovers.  Ignored
-    /// without a checker_pool (the private PeriodicChecker is always
-    /// offloaded).
+    /// monitor under pressure; polling resumes when it recovers.
     CheckerPool::CheckInstrumentation check_instrumentation =
         CheckerPool::CheckInstrumentation::kOffloaded;
   };
@@ -114,7 +111,7 @@ class RobustMonitor {
 
   // --- Detection control. ---------------------------------------------------
 
-  /// Start the periodic checking thread (spec.check_period cadence).
+  /// Start periodic checking (spec.check_period cadence).
   void start_checking();
   void stop_checking();
   /// One synchronous checking-routine invocation.
@@ -165,13 +162,14 @@ class RobustMonitor {
   Options options_;
   HoareMonitor monitor_;
   core::Detector detector_;
-  /// Shared-pool registration (Options::checker_pool) ...
+  /// The private one-thread pool (only without Options::checker_pool).
+  std::unique_ptr<CheckerPool> own_pool_;
+  /// The engine this monitor is registered with: the shared pool or
+  /// own_pool_.
   CheckerPool* pool_ = nullptr;
   CheckerPool::MonitorId pool_id_ = 0;
-  /// ... or the private single-thread compat checker.
-  std::unique_ptr<PeriodicChecker> checker_;
 
-  /// Inline-instrumentation poll state (pool path with kInline only).
+  /// Inline-instrumentation poll state (kInline only).
   bool inline_mode_ = false;
   std::atomic<bool> inline_active_{false};       ///< start/stop_checking.
   std::atomic<util::TimeNs> next_inline_check_{0};

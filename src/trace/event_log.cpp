@@ -34,17 +34,14 @@ EventLog::EventLog(Options options)
     : shard_count_(options.shards == 0 ? 1 : options.shards),
       seq_block_(std::min<std::uint64_t>(
           options.seq_block == 0 ? 1 : options.seq_block, kRemainingMask)),
-      backend_(options.backend),
       ring_capacity_(options.ring_capacity),
       overflow_capacity_(options.overflow_capacity),
       log_id_(next_log_id()),
       shards_(std::make_unique<Shard[]>(shard_count_)),
       retain_history_(options.retain_history) {
-  if (backend_ == Backend::kRing) {
-    for (std::size_t i = 0; i < shard_count_; ++i) {
-      shards_[i].ring =
-          std::make_unique<sync::MpscRing<EventRecord>>(ring_capacity_);
-    }
+  for (std::size_t i = 0; i < shard_count_; ++i) {
+    shards_[i].ring =
+        std::make_unique<sync::MpscRing<EventRecord>>(ring_capacity_);
   }
 }
 
@@ -101,16 +98,6 @@ std::uint64_t EventLog::claim_seq(Shard& shard) {
 
 std::uint64_t EventLog::append(EventRecord event) {
   Shard& shard = shard_for_thread();
-  if (backend_ == Backend::kLocked) {
-    std::lock_guard<sync::SpinLock> lock(shard.mu);
-    event.seq = claim_seq(shard);
-    shard.active.push_back(event);
-    // Plain store (not an RMW): appended is only written under shard.mu.
-    shard.appended.store(shard.appended.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-    return event.seq;
-  }
-
   event.seq = claim_seq(shard);
   if (shard.ring->try_push(event)) {
     shard.appended.fetch_add(1, std::memory_order_relaxed);
@@ -133,45 +120,25 @@ std::uint64_t EventLog::append(EventRecord event) {
 std::vector<EventRecord> EventLog::drain() {
   std::lock_guard<std::mutex> drain_lock(drain_mu_);
 
+  // Consume each shard's published prefix (claimed-slot order, never
+  // blocking appenders), then collect its overflow spill.  Retiring the
+  // shard's sequence block pins the drain boundary in seq space: every
+  // append that begins after this drain draws a block past the global
+  // counter, so it sorts after everything returned here.
   std::vector<EventRecord> merged;
-  if (backend_ == Backend::kRing) {
-    // Consume each shard's published prefix (claimed-slot order, never
-    // blocking appenders), then collect its overflow spill.  Retiring the
-    // shard's sequence block pins the drain boundary in seq space: every
-    // append that begins after this drain draws a block past the global
-    // counter, so it sorts after everything returned here.
-    for (std::size_t i = 0; i < shard_count_; ++i) {
-      Shard& shard = shards_[i];
-      shard.ring->consume(
-          [&merged](const EventRecord& event) { merged.push_back(event); });
-      {
-        std::lock_guard<sync::SpinLock> lock(shard.mu);
-        if (!shard.overflow.empty()) {
-          merged.insert(merged.end(), shard.overflow.begin(),
-                        shard.overflow.end());
-          shard.overflow.clear();
-        }
-      }
-      shard.seq_cursor.store(0, std::memory_order_relaxed);
-    }
-  } else {
-    // Constant-time handoff per shard: swap the append buffer for the
-    // empty standby while holding the spinlock, merge outside every
-    // append lock.
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < shard_count_; ++i) {
-      Shard& shard = shards_[i];
+  for (std::size_t i = 0; i < shard_count_; ++i) {
+    Shard& shard = shards_[i];
+    shard.ring->consume(
+        [&merged](const EventRecord& event) { merged.push_back(event); });
+    {
       std::lock_guard<sync::SpinLock> lock(shard.mu);
-      shard.active.swap(shard.standby);
-      shard.seq_cursor.store(0, std::memory_order_relaxed);
-      total += shard.standby.size();
+      if (!shard.overflow.empty()) {
+        merged.insert(merged.end(), shard.overflow.begin(),
+                      shard.overflow.end());
+        shard.overflow.clear();
+      }
     }
-    merged.reserve(total);
-    for (std::size_t i = 0; i < shard_count_; ++i) {
-      Shard& shard = shards_[i];
-      merged.insert(merged.end(), shard.standby.begin(), shard.standby.end());
-      shard.standby.clear();  // keeps capacity for the next swap
-    }
+    shard.seq_cursor.store(0, std::memory_order_relaxed);
   }
   std::sort(merged.begin(), merged.end(), seq_less);
 
@@ -222,15 +189,10 @@ std::vector<EventRecord> EventLog::pending_snapshot() const {
   std::vector<EventRecord> out;
   for (std::size_t i = 0; i < shard_count_; ++i) {
     Shard& shard = shards_[i];
-    if (backend_ == Backend::kRing) {
-      shard.ring->peek(
-          [&out](const EventRecord& event) { out.push_back(event); });
-      std::lock_guard<sync::SpinLock> lock(shard.mu);
-      out.insert(out.end(), shard.overflow.begin(), shard.overflow.end());
-    } else {
-      std::lock_guard<sync::SpinLock> lock(shard.mu);
-      out.insert(out.end(), shard.active.begin(), shard.active.end());
-    }
+    shard.ring->peek(
+        [&out](const EventRecord& event) { out.push_back(event); });
+    std::lock_guard<sync::SpinLock> lock(shard.mu);
+    out.insert(out.end(), shard.overflow.begin(), shard.overflow.end());
   }
   std::sort(out.begin(), out.end(), seq_less);
   return out;

@@ -48,10 +48,6 @@
 //     which is why monitor logs are built with shards = 1.
 // Because blocks may be retired with unused remainders (and dropped events
 // consume seqs), seqs are not dense.
-//
-// Backend::kLocked preserves the previous spinlocked double-buffer shards —
-// kept as the measured baseline for bench/check_overhead's ring-vs-locked
-// appender columns, not for production use.
 #pragma once
 
 #include <atomic>
@@ -87,17 +83,10 @@ class EventLog {
   /// (never lose an event; memory grows while the drain is stalled).
   static constexpr std::size_t kDefaultOverflowCapacity = std::size_t{1} << 20;
 
-  /// Append-path implementation.
-  enum class Backend {
-    kRing,    ///< Lock-free MPSC rings + bounded overflow (default).
-    kLocked,  ///< Spinlocked double-buffer shards (bench baseline).
-  };
-
   struct Options {
     bool retain_history = false;
     std::size_t shards = kDefaultShards;
     std::uint64_t seq_block = kDefaultSeqBlock;
-    Backend backend = Backend::kRing;
     std::size_t ring_capacity = kDefaultRingCapacity;
     std::size_t overflow_capacity = kDefaultOverflowCapacity;
   };
@@ -111,9 +100,9 @@ class EventLog {
   EventLog& operator=(const EventLog&) = delete;
 
   /// Append one event; assigns and returns its sequence number.  Lock-free
-  /// on the ring backend while the ring has space.  A dropped event (ring
-  /// and overflow both full) still returns its claimed seq and is counted
-  /// in events_lost(), never recorded.
+  /// while the ring has space.  A dropped event (ring and overflow both
+  /// full) still returns its claimed seq and is counted in events_lost(),
+  /// never recorded.
   std::uint64_t append(EventRecord event);
 
   /// Remove and return every published event buffered since the last
@@ -147,18 +136,15 @@ class EventLog {
 
   std::size_t shard_count() const { return shard_count_; }
   std::uint64_t seq_block() const { return seq_block_; }
-  Backend backend() const { return backend_; }
   std::size_t ring_capacity() const { return ring_capacity_; }
   std::size_t overflow_capacity() const { return overflow_capacity_; }
 
  private:
-  /// One append shard.  Ring backend: `ring` takes the lock-free fast
-  /// path, `overflow` (under mu) the bounded spill, `lost` the exact drop
-  /// count.  Locked backend: active receives appends under mu; standby is
-  /// the drained-out double buffer, reused (capacity kept) across drains.
+  /// One append shard: `ring` takes the lock-free fast path, `overflow`
+  /// (under mu) the bounded spill, `lost` the exact drop count.
   /// seq_cursor packs (next seq << 16 | remaining) — the shard's cached
-  /// block of the global sequence counter, refilled by CAS (ring) or under
-  /// mu (locked).  appended counts accepted events.
+  /// block of the global sequence counter, refilled by CAS.  appended
+  /// counts accepted events.
   struct alignas(64) Shard {
     std::unique_ptr<sync::MpscRing<EventRecord>> ring;
     std::atomic<std::uint64_t> seq_cursor{0};
@@ -166,8 +152,6 @@ class EventLog {
     std::atomic<std::uint64_t> lost{0};
     mutable sync::SpinLock mu;
     std::vector<EventRecord> overflow;
-    std::vector<EventRecord> active;
-    std::vector<EventRecord> standby;
   };
 
   using Segment = std::shared_ptr<const std::vector<EventRecord>>;
@@ -185,7 +169,6 @@ class EventLog {
 
   const std::size_t shard_count_;
   const std::uint64_t seq_block_;
-  const Backend backend_;
   const std::size_t ring_capacity_;
   const std::size_t overflow_capacity_;
   /// Identifies this instance in the per-thread shard cache (address reuse

@@ -178,34 +178,17 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
   const int threads_per_monitor = std::max(1, options.threads_per_monitor);
   const std::size_t faulty = std::min(options.faulty_monitors, monitor_count);
 
-  // Detection engines.  Both modes run through CheckerPool so the scheduling
-  // counters are comparable: the old architecture is M pools of one thread,
-  // the new one is a single pool of K ≤ hardware-concurrency threads.
   // Pool-scoped prediction sink (must stay empty).  Declared before the
-  // engines: workers hold a pointer to it, so it must outlive them.
+  // pool: workers hold a pointer to it, so it must outlive them.
   core::CollectingSink lockorder_sink;
-  std::vector<std::unique_ptr<rt::CheckerPool>> engines;
   rt::CheckerPool::Options pool_options;
-  pool_options.max_batch = options.max_batch;
-  pool_options.batch_window = options.batch_window;
+  pool_options.threads = options.pool_threads;
   if (options.lockorder_checkpoint_period > 0) {
     pool_options.lockorder_checkpoint_period =
         options.lockorder_checkpoint_period;
     pool_options.lockorder_sink = &lockorder_sink;
   }
-  if (options.mode == CheckerMode::kSharedPool) {
-    pool_options.threads = options.pool_threads;
-    engines.push_back(std::make_unique<rt::CheckerPool>(pool_options));
-  } else {
-    pool_options.threads = 1;
-    for (std::size_t i = 0; i < monitor_count; ++i) {
-      engines.push_back(std::make_unique<rt::CheckerPool>(pool_options));
-    }
-  }
-  const auto engine_for = [&](std::size_t i) -> rt::CheckerPool* {
-    return options.mode == CheckerMode::kSharedPool ? engines[0].get()
-                                                    : engines[i].get();
-  };
+  rt::CheckerPool pool(pool_options);
 
   // Monitors: alternating communication coordinators (even index) and
   // resource allocators (odd index), each with its own sink so detections
@@ -233,7 +216,7 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
 
     sinks.push_back(std::make_unique<core::CollectingSink>());
     rt::RobustMonitor::Options monitor_options;
-    monitor_options.checker_pool = engine_for(i);
+    monitor_options.checker_pool = &pool;
     monitor_options.cadence_max_stretch = options.max_stretch;
     monitor_options.hold_gate_during_check =
         options.mix_gate_policies && i % 2 == 1
@@ -316,10 +299,7 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
   for (auto& thread : threads) thread.join();
   const auto finished = std::chrono::steady_clock::now();
 
-  std::size_t checker_threads = 0;
-  for (const auto& engine : engines) {
-    checker_threads += engine->thread_count();
-  }
+  const std::size_t checker_threads = pool.thread_count();
 
   for (auto& monitor : monitors) monitor->stop_checking();
   // Final synchronous check per monitor: drains the tail segment, so a
@@ -345,15 +325,12 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
           : 0.0;
   result.checker_threads = checker_threads;
 
-  std::uint64_t engine_checks = 0, quiesce_ns = 0, check_ns = 0;
-  for (const auto& engine : engines) {
-    engine_checks += engine->checks_executed();
-    quiesce_ns += engine->total_quiesce_ns();
-    check_ns += engine->total_check_ns();
-    result.dispatches += engine->dispatches();
-    result.checks_coalesced += engine->checks_coalesced();
-    result.events_lost += engine->events_lost();
-  }
+  const std::uint64_t engine_checks = pool.checks_executed();
+  const std::uint64_t quiesce_ns = pool.total_quiesce_ns();
+  const std::uint64_t check_ns = pool.total_check_ns();
+  result.dispatches = pool.dispatches();
+  result.checks_coalesced = pool.checks_coalesced();
+  result.events_lost = pool.events_lost();
   for (std::size_t i = 0; i < monitor_count; ++i) {
     result.idle_checks += monitors[i]->detector().idle_checks();
   }
@@ -371,10 +348,8 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
                        static_cast<double>(result.dispatches);
   }
 
-  for (const auto& engine : engines) {
-    result.lockorder_checkpoints += engine->lockorder_checkpoints();
-    result.lockorder_edges += engine->lockorder_edge_count();
-  }
+  result.lockorder_checkpoints = pool.lockorder_checkpoints();
+  result.lockorder_edges = pool.lockorder_edge_count();
   result.potential_deadlocks = lockorder_sink.count();
 
   result.faults_expected = faulty;

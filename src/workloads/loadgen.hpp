@@ -24,7 +24,7 @@ struct LoadOptions {
 
   /// Monitor construction knobs.
   rt::Instrumentation instrumentation = rt::Instrumentation::kFull;
-  bool periodic_checking = true;      ///< Start the checker thread.
+  bool periodic_checking = true;      ///< Start periodic checking.
   util::TimeNs check_period = 100 * util::kMillisecond;
   bool hold_gate_during_check = true;
   util::TimeNs t_max = 5 * util::kSecond;   ///< Generous: no false timeouts
@@ -46,12 +46,7 @@ LoadResult run_load(const LoadOptions& options);
 
 // --- Multi-monitor scenario (CheckerPool scaling). ---------------------------
 
-/// How the detection runtime is provisioned for a multi-monitor run.
-enum class CheckerMode {
-  kThreadPerMonitor,  ///< One single-thread engine per monitor (old design).
-  kSharedPool,        ///< One CheckerPool with K workers for all monitors.
-};
-
+/// M monitors on one shared CheckerPool with K workers.
 struct MultiLoadOptions {
   std::size_t monitors = 8;       ///< M; alternating coordinator/allocator.
   int threads_per_monitor = 2;    ///< T client threads driving each monitor.
@@ -63,19 +58,13 @@ struct MultiLoadOptions {
   /// monitor; a correct engine misses none.
   std::size_t faulty_monitors = 0;
 
-  CheckerMode mode = CheckerMode::kSharedPool;
-  std::size_t pool_threads = 0;   ///< K for kSharedPool; 0 = auto (≤ hw).
+  std::size_t pool_threads = 0;   ///< K; 0 = auto (≤ hw).
   util::TimeNs check_period = 5 * util::kMillisecond;
   /// Per-monitor suspend policy; monitors where (index % 2 == 1) get the
   /// opposite policy when mix_gate_policies is set, exercising coexistence.
   bool hold_gate_during_check = true;
   bool mix_gate_policies = false;
 
-  /// Engine dispatch knobs (rt::CheckerPool::Options passthrough).
-  /// max_batch = 1 reproduces the per-item engine — the bench baseline;
-  /// 0 = unbounded batches.
-  std::size_t max_batch = 0;
-  util::TimeNs batch_window = -1;  ///< -1 = auto (one period quantum).
   /// Adaptive cadence ceiling per monitor (1.0 = fixed cadence).
   double max_stretch = 1.0;
   /// Lock-order prediction checkpoint cadence (0 = prediction off).  Every

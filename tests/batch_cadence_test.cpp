@@ -193,55 +193,36 @@ TEST(BatchCadenceTest, StretchedPeriodClampedToSmallestTimerThreshold) {
 }
 
 TEST(BatchCadenceTest, BatchDispatchAmortizesWakeupsAcrossDueMonitors) {
-  // M monitors on one cadence: the batched engine serves a deadline wave in
-  // a few dispatches, the per-item engine pays one dispatch per check.
+  // M monitors on one cadence: the engine serves a deadline wave in a few
+  // dispatches, where a per-item loop would pay one dispatch per check.
   constexpr std::size_t kMonitors = 16;
-  struct Run {
-    std::size_t max_batch;
-    std::uint64_t checks = 0;
-    std::uint64_t dispatches = 0;
-  };
-  Run batched{0};
-  Run per_item{1};
-  for (Run* run : {&batched, &per_item}) {
-    CheckerPool::Options options;
-    options.threads = 1;
-    options.max_batch = run->max_batch;
-    CheckerPool pool(options);
-    util::ManualClock clock(0);
-    std::vector<std::unique_ptr<RawMonitor>> raws;
-    std::vector<CheckerPool::MonitorId> ids;
-    for (std::size_t i = 0; i < kMonitors; ++i) {
-      raws.push_back(std::make_unique<RawMonitor>(
-          relaxed_timers(MonitorSpec::manager("m" + std::to_string(i)),
-                         2 * kMillisecond),
-          clock));
-      ids.push_back(pool.add(raws.back()->monitor, raws.back()->detector));
-    }
-    for (const auto id : ids) pool.schedule(id);
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    for (const auto id : ids) pool.unschedule(id);
-    run->checks = pool.checks_executed();
-    run->dispatches = pool.dispatches();
-    for (const auto& raw : raws) EXPECT_EQ(raw->sink.count(), 0u);
+  CheckerPool pool(CheckerPool::Options{.threads = 1});
+  util::ManualClock clock(0);
+  std::vector<std::unique_ptr<RawMonitor>> raws;
+  std::vector<CheckerPool::MonitorId> ids;
+  for (std::size_t i = 0; i < kMonitors; ++i) {
+    raws.push_back(std::make_unique<RawMonitor>(
+        relaxed_timers(MonitorSpec::manager("m" + std::to_string(i)),
+                       2 * kMillisecond),
+        clock));
+    ids.push_back(pool.add(raws.back()->monitor, raws.back()->detector));
   }
-  ASSERT_GT(batched.checks, kMonitors);
-  ASSERT_GT(per_item.checks, kMonitors);
-  // Per-item: one dispatch per check, exactly.
-  EXPECT_GE(per_item.dispatches, per_item.checks);
-  // Batched: ≥2× fewer dispatches per check (in practice ~kMonitors× —
-  // the whole wave lands in one batch).
-  EXPECT_LE(batched.dispatches * 2, batched.checks);
+  for (const auto id : ids) pool.schedule(id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  for (const auto id : ids) pool.unschedule(id);
+  for (const auto& raw : raws) EXPECT_EQ(raw->sink.count(), 0u);
+  const std::uint64_t checks = pool.checks_executed();
+  ASSERT_GT(checks, kMonitors);
+  // ≥2× fewer dispatches than checks (in practice ~kMonitors× — the whole
+  // wave lands in one batch).
+  EXPECT_LE(pool.dispatches() * 2, checks);
 }
 
-TEST(BatchCadenceTest, CoalescePolicyAbsorbsBacklogOfSlowChecks) {
+TEST(BatchCadenceTest, SlowChecksCoalesceTheirBacklog) {
   // A check that outlasts its period (on_checkpoint sleeps 8× the period)
-  // must not build an unbounded backlog: kCoalesce slips the grid and
+  // must not build an unbounded backlog: the pool slips the grid and
   // counts the absorbed deadlines.
-  CheckerPool::Options options;
-  options.threads = 1;
-  options.backlog_policy = CheckerPool::BacklogPolicy::kCoalesce;
-  CheckerPool pool(options);
+  CheckerPool pool(CheckerPool::Options{.threads = 1});
   util::ManualClock clock(0);
   RawMonitor raw(relaxed_timers(MonitorSpec::manager("slow"), 2 * kMillisecond),
                  clock);
@@ -262,66 +243,23 @@ TEST(BatchCadenceTest, CoalescePolicyAbsorbsBacklogOfSlowChecks) {
   EXPECT_EQ(raw.sink.count(), 0u);
 }
 
-TEST(BatchCadenceTest, RunAllPolicyBoundsCatchUpDepth) {
-  CheckerPool::Options options;
-  options.threads = 1;
-  options.backlog_policy = CheckerPool::BacklogPolicy::kRunAll;
-  options.max_backlog = 2;
-  CheckerPool pool(options);
-  util::ManualClock clock(0);
-  RawMonitor raw(
-      relaxed_timers(MonitorSpec::manager("catchup"), 2 * kMillisecond),
-      clock);
-  CheckerPool::MonitorOptions mo;
-  mo.on_checkpoint = [](const trace::SchedulingState&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(16));
-  };
-  const auto id = pool.add(raw.monitor, raw.detector, mo);
-  pool.schedule(id);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  pool.unschedule(id);
-  // Catch-up is depth-bounded, so the run completes and the slots beyond
-  // max_backlog are recorded as coalesced.
-  EXPECT_GT(pool.checks_executed(), 2u);
-  EXPECT_GT(pool.checks_coalesced(), 0u);
-  EXPECT_EQ(raw.sink.count(), 0u);
-}
-
 TEST(MultiLoadBatchingTest, BatchedAndAdaptiveEnginesMissNoInjectedFault) {
-  // The engine-shape sweep: per-item baseline, default batched, and batched
-  // + adaptive cadence must all detect every injected fault with zero false
-  // positives — batching and stretching change overhead, never coverage.
-  struct Shape {
-    std::size_t max_batch;
-    double max_stretch;
-  };
-  for (const Shape shape : {Shape{1, 1.0}, Shape{0, 1.0}, Shape{0, 4.0}}) {
+  // The engine-shape sweep: fixed and adaptive cadence must both detect
+  // every injected fault with zero false positives — stretching changes
+  // overhead, never coverage.
+  for (const double max_stretch : {1.0, 4.0}) {
     wl::MultiLoadOptions options;
     options.monitors = 6;
     options.threads_per_monitor = 2;
     options.ops_per_thread = 2000;
     options.faulty_monitors = 2;
-    options.mode = wl::CheckerMode::kSharedPool;
     options.check_period = 1 * kMillisecond;
-    options.max_batch = shape.max_batch;
-    options.max_stretch = shape.max_stretch;
+    options.max_stretch = max_stretch;
     const wl::MultiLoadResult result = wl::run_multi_load(options);
-    EXPECT_EQ(result.missed_detections, 0u)
-        << "max_batch=" << shape.max_batch
-        << " max_stretch=" << shape.max_stretch;
+    EXPECT_EQ(result.missed_detections, 0u) << "max_stretch=" << max_stretch;
     EXPECT_EQ(result.faulty_detected, 2u);
     EXPECT_EQ(result.false_positive_monitors, 0u);
     EXPECT_GT(result.checks_run, 0u);
-    if (shape.max_batch == 1 && result.dispatches > 0) {
-      // Per-item: one dispatch per periodic check; only the final
-      // synchronous per-monitor checks lift the ratio above 1.  The slack
-      // absorbs the one-ULP rounding gap between (d + M) / d and
-      // 1 + M / d when the counts land exactly on the bound.
-      EXPECT_LE(result.avg_batch,
-                1.0 + static_cast<double>(options.monitors) /
-                          static_cast<double>(result.dispatches) +
-                    1e-9);
-    }
   }
 }
 

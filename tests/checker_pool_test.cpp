@@ -1,8 +1,8 @@
 // CheckerPool engine tests: synchronous checks without workers, deadline
 // ordering across monitors with different cadences, concurrent
 // register/unregister while traffic flows, per-monitor gate policies
-// coexisting in one pool, and regression parity between the PeriodicChecker
-// compat wrapper and the shared-pool path on injected faults.
+// coexisting in one pool, and regression parity between a monitor's private
+// one-thread pool and a shared pool on injected faults.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -215,10 +215,10 @@ TEST(CheckerPoolTest, MixedHoldGatePoliciesCoexist) {
   EXPECT_GE(concurrent.detector().checks_run(), 1u);
 }
 
-// Regression: the PeriodicChecker compat wrapper (default RobustMonitor
-// path) must detect the same injected fault as before the CheckerPool
-// refactor, from its *periodic* thread, not only from check_now().
-TEST(CheckerPoolTest, CompatWrapperStillDetectsInjectedFaultPeriodically) {
+// Regression: a RobustMonitor without a shared pool checks itself on a
+// private one-thread pool, and must detect the injected fault from that
+// pool's *periodic* worker, not only from check_now().
+TEST(CheckerPoolTest, PrivatePoolDetectsInjectedFaultPeriodically) {
   CollectingSink sink;
   inject::ScriptedInjection injection(
       {FaultKind::kSendExceedsCapacity, trace::kNoPid, 1, false});
@@ -289,29 +289,47 @@ TEST(CheckerPoolTest, FrozenManualClockDoesNotStallPeriodicChecking) {
   EXPECT_EQ(sink.count(), 0u);
 }
 
-TEST(MultiLoadTest, BothCheckerModesMissNothing) {
-  for (const wl::CheckerMode mode :
-       {wl::CheckerMode::kThreadPerMonitor, wl::CheckerMode::kSharedPool}) {
-    wl::MultiLoadOptions options;
-    options.monitors = 6;
-    options.threads_per_monitor = 2;
-    options.ops_per_thread = 100;
-    options.faulty_monitors = 2;
-    options.mode = mode;
-    options.check_period = 2 * kMillisecond;
-    options.mix_gate_policies = true;
-    const wl::MultiLoadResult result = wl::run_multi_load(options);
-    EXPECT_EQ(result.missed_detections, 0u);
-    EXPECT_EQ(result.faulty_detected, 2u);
-    EXPECT_EQ(result.false_positive_monitors, 0u);
-    EXPECT_GT(result.checks_run, 0u);
-    if (mode == wl::CheckerMode::kThreadPerMonitor) {
-      EXPECT_EQ(result.checker_threads, 6u);
-    } else {
-      EXPECT_LE(result.checker_threads,
-                std::max(1u, std::thread::hardware_concurrency()));
-    }
+// Inline instrumentation is a per-monitor policy of the one engine, so it
+// works on a monitor's private pool too: checks run only from the
+// exit-point poll on the calling thread, never from a pool worker.
+TEST(CheckerPoolTest, PrivatePoolHonorsInlineInstrumentation) {
+  CollectingSink sink;
+  RobustMonitor::Options options;
+  options.check_instrumentation = CheckerPool::CheckInstrumentation::kInline;
+  RobustMonitor monitor(
+      relaxed_timers(MonitorSpec::manager("inline"), 1 * kMillisecond), sink,
+      options);
+  monitor.start_checking();
+  // No traffic, no poll: an offloaded monitor would have been checked
+  // ~20 times by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(monitor.detector().checks_run(), 0u);
+  for (int spin = 0; spin < 400; ++spin) {
+    if (monitor.detector().checks_run() >= 2) break;
+    ASSERT_EQ(monitor.enter(1, "Op"), Status::kOk);
+    monitor.exit(1);  // polls: checks once the 1 ms period has elapsed
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  monitor.stop_checking();
+  EXPECT_GE(monitor.detector().checks_run(), 2u);
+  EXPECT_EQ(sink.count(), 0u);
+}
+
+TEST(MultiLoadTest, SharedPoolMissesNothing) {
+  wl::MultiLoadOptions options;
+  options.monitors = 6;
+  options.threads_per_monitor = 2;
+  options.ops_per_thread = 100;
+  options.faulty_monitors = 2;
+  options.check_period = 2 * kMillisecond;
+  options.mix_gate_policies = true;
+  const wl::MultiLoadResult result = wl::run_multi_load(options);
+  EXPECT_EQ(result.missed_detections, 0u);
+  EXPECT_EQ(result.faulty_detected, 2u);
+  EXPECT_EQ(result.false_positive_monitors, 0u);
+  EXPECT_GT(result.checks_run, 0u);
+  EXPECT_LE(result.checker_threads,
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace

@@ -340,19 +340,6 @@ TEST(EventLogTest, ConcurrentOverflowAccountingIsExactUnderStalledDrain) {
   EXPECT_EQ(log.drain().size(), 1u);
 }
 
-TEST(EventLogTest, LockedBackendStillDrainsLosslessly) {
-  EventLog::Options options;
-  options.backend = EventLog::Backend::kLocked;
-  EventLog log(options);
-  EXPECT_EQ(log.backend(), EventLog::Backend::kLocked);
-  for (int i = 0; i < 100; ++i) {
-    log.append(EventRecord::enter(1, 0, true, i));
-  }
-  EXPECT_EQ(log.events_lost(), 0u);
-  EXPECT_EQ(log.drain().size(), 100u);
-  EXPECT_EQ(log.pending(), 0u);
-}
-
 SchedulingState sample_state() {
   SchedulingState state;
   state.captured_at = 1000;
