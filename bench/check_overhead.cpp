@@ -1,23 +1,25 @@
 // Checking-engine overhead bench — the machine-readable perf baseline for
-// the batched, adaptive-cadence CheckerPool and the block-allocating
-// EventLog.  Two sections:
+// the batched, adaptive-cadence CheckerPool and the owner-serialized
+// EventLog.  Four sections:
 //
-//   appender  EventLog::append throughput (lock-free ring ingestion), T
-//             concurrent appender threads, rings sized to the row so
-//             throughput rows finish with events_lost == 0, plus one
-//             deliberately undersized single-ring row that exercises the
-//             overflow/loss contract (spill, then exact drop accounting).
-//             Rows where threads > hardware_concurrency are flagged
-//             `contended`: the committed baseline may come from a smaller
-//             machine, so CI skips throughput comparisons on such rows
-//             (but still gates losses and detections).
+//   appender  EventLog::append throughput under the owner-serialized
+//             contract: T appender threads take one mutex around each
+//             append (the monitor lock every production log is appended
+//             under), and every 256th append the appending thread drains
+//             into its own recycled buffer.  A second row with no drain
+//             and an undersized capacity exercises the loss contract.
+//             Both rows gate appended + lost == calls and drained ==
+//             appended.  A row with threads > hardware_concurrency is
+//             flagged `contended`: CI then skips its throughput
+//             comparison (but still gates losses and detections).
 //   pool      wl::run_multi_load at M ∈ --monitors for three engine
 //             shapes — batched (default), batched+adaptive (--max-stretch),
 //             batched+prediction — with injected faults; reports per-check
 //             time, dispatches (worker wake-ups) per 1k checks, batch
 //             sizes, coalesced deadlines, and the detection scorecard.
 //             docs/bench-history.md keeps the last numbers of the retired
-//             baselines (spinlocked appender, per-item dispatch).
+//             baselines (spinlocked and MPSC-ring appenders, per-item
+//             dispatch).
 //   recovery  wl::run_dining_load with a deterministically deadlocking
 //             ring under each recovery remedy (poison / fault / order);
 //             reports the detection-to-action latency and enforces the
@@ -38,9 +40,11 @@
 // the run itself as a detection smoke and the JSON as a regression
 // baseline.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -75,47 +79,41 @@ bool parse_size_list(const std::string& csv, std::vector<std::size_t>* out) {
 
 struct AppenderRow {
   std::size_t threads = 0;
-  std::size_t shards = 0;
+  std::size_t capacity = 0;
   std::uint64_t events = 0;  ///< append() calls issued.
   double events_per_sec = 0.0;
   std::uint64_t events_lost = 0;
   bool contended = false;    ///< threads > hardware_concurrency.
-  bool expect_loss = false;  ///< Deliberately undersized overflow row.
+  bool expect_loss = false;  ///< Undrained, undersized overflow row.
   bool accounting_ok = true; ///< accepted + lost == issued, drain == accepted.
 };
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-/// One appender row.  ring_capacity == 0 sizes the ring to hold the whole
-/// row (throughput measurement, zero losses expected); a nonzero capacity
-/// deliberately undersizes it to exercise the spill/loss contract.
-AppenderRow bench_appenders(std::size_t threads, std::size_t shards,
+/// One serialized-appender row.  `drain_every` > 0 drains in-line every
+/// that many appends per thread (throughput row, zero losses expected);
+/// 0 never drains before the end, so a capacity below the row's calls
+/// must drop exactly the excess.
+AppenderRow bench_appenders(std::size_t threads,
                             std::uint64_t events_per_thread,
-                            std::size_t ring_capacity,
-                            std::size_t overflow_capacity, unsigned hardware) {
-  trace::EventLog::Options options;
-  options.shards = shards;
-  const std::uint64_t per_shard =
-      events_per_thread * ((threads + shards - 1) / shards);
-  options.ring_capacity = ring_capacity != 0
-                              ? ring_capacity
-                              : round_up_pow2(static_cast<std::size_t>(
-                                    per_shard + per_shard / 4 + 1));
-  options.overflow_capacity = overflow_capacity;
-  trace::EventLog log(options);
+                            std::size_t capacity, std::uint64_t drain_every,
+                            unsigned hardware) {
+  trace::EventLog log(trace::EventLog::Options{.capacity = capacity});
+  std::mutex owner_mu;  // The owner's lock (HoareMonitor::mu_'s role).
+  std::atomic<std::uint64_t> drained{0};
 
   std::vector<std::thread> workers;
   const auto started = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&log, t, events_per_thread] {
+    workers.emplace_back([&, t] {
       const trace::EventRecord event = trace::EventRecord::enter(
           static_cast<trace::Pid>(t), 0, true, 0);
-      for (std::uint64_t i = 0; i < events_per_thread; ++i) {
+      std::vector<trace::EventRecord> segment;
+      for (std::uint64_t i = 1; i <= events_per_thread; ++i) {
+        std::lock_guard<std::mutex> lock(owner_mu);
         log.append(event);
+        if (drain_every != 0 && i % drain_every == 0) {
+          log.drain(segment);
+          drained.fetch_add(segment.size(), std::memory_order_relaxed);
+        }
       }
     });
   }
@@ -124,7 +122,7 @@ AppenderRow bench_appenders(std::size_t threads, std::size_t shards,
 
   AppenderRow row;
   row.threads = threads;
-  row.shards = shards;
+  row.capacity = capacity;
   row.events = static_cast<std::uint64_t>(threads) * events_per_thread;
   const double seconds =
       std::chrono::duration<double>(finished - started).count();
@@ -132,12 +130,16 @@ AppenderRow bench_appenders(std::size_t threads, std::size_t shards,
       seconds > 0 ? static_cast<double>(row.events) / seconds : 0.0;
   row.events_lost = log.events_lost();
   row.contended = hardware != 0 && threads > hardware;
-  row.expect_loss = ring_capacity != 0;
+  row.expect_loss = drain_every == 0;
   // The loss contract is exact: every issued append was either accepted
   // (and drains exactly once) or counted lost — no silent drops, no dupes.
-  const std::uint64_t drained = log.drain().size();
-  row.accounting_ok = log.total_appended() + row.events_lost == row.events &&
-                      drained == log.total_appended() && log.pending() == 0;
+  std::vector<trace::EventRecord> rest;
+  log.drain(rest);
+  const std::uint64_t total_drained = drained.load() + rest.size();
+  const bool exact = log.total_appended() + row.events_lost == row.events;
+  const bool drained_once = total_drained == log.total_appended();
+  const bool bound_held = !row.expect_loss || log.total_appended() == capacity;
+  row.accounting_ok = exact && drained_once && log.pending() == 0 && bound_held;
   return row;
 }
 
@@ -164,8 +166,7 @@ int main(int argc, char** argv) {
                "adaptive-cadence ceiling for the adaptive engine shape");
   flags.define("predict-period-ms", "4",
                "lock-order prediction checkpoint cadence (predict shape)");
-  flags.define("appender-threads", "1,8",
-               "comma-separated appender thread counts");
+  flags.define("appender-threads", "2", "serialized appender threads");
   flags.define("appender-events", "200000", "events per appender thread");
   flags.define("budget-fraction", "0.0035",
                "global detection budget for the spike scenario "
@@ -178,33 +179,35 @@ int main(int argc, char** argv) {
                "machine-readable results file");
   if (!flags.parse(argc, argv)) return 1;
 
-  std::vector<std::size_t> monitor_sweep, appender_sweep;
-  if (!parse_size_list(flags.str("monitors"), &monitor_sweep) ||
-      !parse_size_list(flags.str("appender-threads"), &appender_sweep)) {
+  std::vector<std::size_t> monitor_sweep;
+  if (!parse_size_list(flags.str("monitors"), &monitor_sweep)) {
     std::fprintf(stderr,
-                 "--monitors/--appender-threads must be comma-separated "
-                 "positive integers\n");
+                 "--monitors must be comma-separated positive integers\n");
+    return 1;
+  }
+  const std::int64_t appender_threads = flags.i64("appender-threads");
+  if (appender_threads <= 0) {
+    std::fprintf(stderr, "--appender-threads must be a positive integer\n");
     return 1;
   }
 
   const unsigned hardware = std::thread::hardware_concurrency();
   std::printf("check_overhead: hardware concurrency = %u\n", hardware);
 
-  // --- Appender throughput: lock-free ring ingestion. ------------------------
+  // --- Appender throughput: owner-serialized ingestion. ---------------------
   const auto appender_events =
       static_cast<std::uint64_t>(flags.i64("appender-events"));
+  const auto threads = static_cast<std::size_t>(appender_threads);
   std::vector<AppenderRow> appender_rows;
   bool appender_failed = false;
-  std::printf("\n%10s %7s %14s %14s %12s %10s\n", "appenders", "shards",
+  std::printf("\n%10s %9s %14s %14s %12s %10s\n", "appenders", "capacity",
               "events", "events/s", "events-lost", "flags");
-  const auto run_appender_row = [&](std::size_t threads, std::size_t shards,
-                                    std::size_t ring_capacity,
-                                    std::size_t overflow_capacity) {
-    AppenderRow row = bench_appenders(threads, shards, appender_events,
-                                      ring_capacity, overflow_capacity,
-                                      hardware);
-    std::printf("%10zu %7zu %14llu %14.0f %12llu %10s%s\n", row.threads,
-                row.shards, static_cast<unsigned long long>(row.events),
+  const auto run_appender_row = [&](std::size_t capacity,
+                                    std::uint64_t drain_every) {
+    AppenderRow row = bench_appenders(threads, appender_events, capacity,
+                                      drain_every, hardware);
+    std::printf("%10zu %9zu %14llu %14.0f %12llu %10s%s\n", row.threads,
+                row.capacity, static_cast<unsigned long long>(row.events),
                 row.events_per_sec,
                 static_cast<unsigned long long>(row.events_lost),
                 row.expect_loss ? "overflow" : (row.contended ? "contended"
@@ -216,18 +219,11 @@ int main(int argc, char** argv) {
     }
     appender_rows.push_back(std::move(row));
   };
-  for (const std::size_t threads : appender_sweep) {
-    run_appender_row(threads,
-                     std::min(threads, trace::EventLog::kDefaultShards),
-                     /*ring_capacity=*/0, /*overflow_capacity=*/0);
-  }
-  // The overflow/loss-contract stress row: every appender contends on one
-  // deliberately undersized ring with a stalled drain, so the run must
-  // spill to the bounded overflow list and then drop *with accounting*.
-  const std::size_t stress_threads =
-      *std::max_element(appender_sweep.begin(), appender_sweep.end());
-  run_appender_row(stress_threads, /*shards=*/1, /*ring_capacity=*/1 << 12,
-                   /*overflow_capacity=*/1 << 15);
+  run_appender_row(trace::EventLog::kDefaultCapacity, /*drain_every=*/256);
+  // The loss-contract row: no drain until the end and a capacity far below
+  // the row's calls, so all but `capacity` appends must drop *with
+  // accounting*.
+  run_appender_row(/*capacity=*/1 << 12, /*drain_every=*/0);
 
   // --- Pool sweep: batched vs batched+adaptive vs batched with the
   // lock-order prediction checkpoint on (the "predict" column isolates the
@@ -430,11 +426,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < appender_rows.size(); ++i) {
     const AppenderRow& row = appender_rows[i];
     std::fprintf(out,
-                 "    {\"impl\": \"ring\", \"threads\": %zu, \"shards\": %zu, "
+                 "    {\"impl\": \"serialized\", \"threads\": %zu, "
+                 "\"capacity\": %zu, "
                  "\"events\": %llu, \"events_per_sec\": %.0f, "
                  "\"events_lost\": %llu, \"contended\": %s, "
                  "\"expect_loss\": %s}%s\n",
-                 row.threads, row.shards,
+                 row.threads, row.capacity,
                  static_cast<unsigned long long>(row.events),
                  row.events_per_sec,
                  static_cast<unsigned long long>(row.events_lost),

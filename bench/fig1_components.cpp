@@ -6,6 +6,8 @@
 // Uses google-benchmark; one benchmark per architectural box.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/algorithms.hpp"
 #include "core/detector.hpp"
 #include "pathexpr/matcher.hpp"
@@ -44,10 +46,11 @@ void BM_MonitorOp_Instrumented(benchmark::State& state) {
                            inject::NullInjection::instance(),
                            rt::Instrumentation::kFull);
   const trace::SymbolId op = monitor.symbols().intern("Op");
+  std::vector<trace::EventRecord> segment;
   for (auto _ : state) {
     monitor.enter(1, op);
     monitor.exit(1);
-    if (monitor.log().pending() > 65536) monitor.log().drain();
+    if (monitor.log().pending() > 65536) monitor.drain_segment(segment);
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }
@@ -58,9 +61,10 @@ BENCHMARK(BM_MonitorOp_Instrumented);
 void BM_EventLogAppend(benchmark::State& state) {
   trace::EventLog log;
   const auto event = trace::EventRecord::enter(1, 0, true, 42);
+  std::vector<trace::EventRecord> segment;
   for (auto _ : state) {
     log.append(event);
-    if (log.pending() > 65536) log.drain();
+    if (log.pending() > 65536) log.drain(segment);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -70,13 +74,16 @@ void BM_EventLogSegmentCycle(benchmark::State& state) {
   // One gathering period: append a segment, then the checker drains it.
   trace::EventLog log;
   const auto event = trace::EventRecord::enter(1, 0, true, 42);
-  const auto segment = static_cast<std::size_t>(state.range(0));
+  const auto length = static_cast<std::size_t>(state.range(0));
+  std::vector<trace::EventRecord> segment;
   for (auto _ : state) {
-    for (std::size_t i = 0; i < segment; ++i) log.append(event);
-    benchmark::DoNotOptimize(log.drain());
+    for (std::size_t i = 0; i < length; ++i) log.append(event);
+    log.drain(segment);
+    benchmark::DoNotOptimize(segment.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(segment));
+                          static_cast<std::int64_t>(length));
 }
 BENCHMARK(BM_EventLogSegmentCycle)->Arg(256)->Arg(4096);
 

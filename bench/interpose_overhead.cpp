@@ -70,8 +70,9 @@ double bench_adapter_push(std::int64_t iters) {
   // producer should almost never find the ring full.
   std::atomic<bool> stop_drain{false};
   std::thread drainer([&] {
+    std::vector<robmon::trace::EventRecord> segment;
     while (!stop_drain.load(std::memory_order_acquire)) {
-      (void)monitor.drain_segment();
+      monitor.drain_segment(segment);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -110,8 +111,9 @@ double bench_adapter_mt(std::int64_t iters, int threads) {
                            config_with_ring(1 << 16));
   std::atomic<bool> stop_drain{false};
   std::thread drainer([&] {
+    std::vector<robmon::trace::EventRecord> segment;
     while (!stop_drain.load(std::memory_order_acquire)) {
-      (void)monitor.drain_segment();
+      monitor.drain_segment(segment);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });

@@ -261,10 +261,9 @@ void Runtime::flush(std::FILE* out) {
                static_cast<unsigned long long>(lost));
   if (config_.trace_path.empty()) return;
   for (SyntheticMonitor* monitor : monitors) {
-    monitor->snapshot();  // Fold any still-pending ring ops into the log.
     const trace::TraceFile file = trace::make_trace_file(
         monitor->spec().name, std::string(to_string(monitor->spec().type)),
-        monitor->spec().rmax, monitor->symbols(), monitor->log().history(),
+        monitor->spec().rmax, monitor->symbols(), monitor->history(),
         /*checkpoints=*/{}, monitor->events_lost());
     const std::string path =
         config_.trace_path + monitor->spec().name + ".trace";

@@ -57,7 +57,8 @@ struct RuntimeConfig {
   /// ROBMON_RECOVERY: opt-in recovery actions (default off: synthetic
   /// monitors cannot evict waiters, so actions degrade to reports).
   bool recovery = false;
-  /// ROBMON_TRACE: per-monitor trace-file prefix; empty = no export.
+  /// ROBMON_TRACE: per-monitor trace-file prefix; empty = no export (and
+  /// no synthetic event recording, see SyntheticMonitor::Config).
   std::string trace_path;
   /// ROBMON_CHECK_PERIOD_MS: per-monitor check cadence.
   util::TimeNs check_period = 100 * util::kMillisecond;

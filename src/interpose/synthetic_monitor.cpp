@@ -5,24 +5,13 @@
 
 namespace robmon::interpose {
 
-namespace {
-
-trace::EventLog::Options log_options(bool retain_history) {
-  trace::EventLog::Options options;
-  options.retain_history = retain_history;
-  options.shards = 1;  // Appends are serialized under apply_mu_.
-  return options;
-}
-
-}  // namespace
-
 SyntheticMonitor::SyntheticMonitor(std::string name, Kind kind,
                                    const util::Clock& clock,
                                    const Config& config)
     : kind_(kind),
       spec_(core::MonitorSpec::manager(std::move(name))),
       clock_(&clock),
-      log_(log_options(config.retain_history)),
+      log_(trace::EventLog::Options{.retain_history = config.retain_history}),
       ring_(config.ring_capacity) {
   spec_.check_period = config.check_period;
   proc_lock_ = symbols_.intern("lock");
@@ -81,12 +70,15 @@ void SyntheticMonitor::erase_entry_wait(Tid tid) const {
   if (it != entry_queue_.end()) entry_queue_.erase(it);
 }
 
+void SyntheticMonitor::record(const trace::EventRecord& event) const {
+  if (log_.retention()) log_.append(event);
+}
+
 void SyntheticMonitor::apply_locked(const Op& op) const {
   switch (op.kind) {
     case OpKind::kLockBlocked:
       entry_queue_.push_back({op.tid, proc_lock_, op.time, ++next_ticket_});
-      log_.append(
-          trace::EventRecord::enter(op.tid, proc_lock_, false, op.time));
+      record(trace::EventRecord::enter(op.tid, proc_lock_, false, op.time));
       break;
     case OpKind::kLockAcquired: {
       const std::size_t queued = entry_queue_.size();
@@ -103,8 +95,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
       // time and its resume is implied; only a fast-path acquire records
       // a fresh (immediately admitted) Enter.
       if (entry_queue_.size() == queued) {
-        log_.append(
-            trace::EventRecord::enter(op.tid, proc_lock_, true, op.time));
+        record(trace::EventRecord::enter(op.tid, proc_lock_, true, op.time));
       }
       break;
     }
@@ -119,7 +110,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
           owner_ = kNoTid;
           owner_since_ = 0;
           owner_ticket_ = 0;
-          log_.append(trace::EventRecord::signal_exit(
+          record(trace::EventRecord::signal_exit(
               op.tid, proc_lock_, trace::kNoSymbol, !entry_queue_.empty(),
               op.time));
         }
@@ -127,8 +118,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
       break;
     case OpKind::kCondParked:
       cond_queue_.push_back({op.tid, proc_wait_, op.time, ++next_ticket_});
-      log_.append(
-          trace::EventRecord::wait(op.tid, proc_wait_, cond_sym_, op.time));
+      record(trace::EventRecord::wait(op.tid, proc_wait_, cond_sym_, op.time));
       break;
     case OpKind::kCondUnparked: {
       const auto it = std::find_if(
@@ -138,7 +128,7 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
       break;
     }
     case OpKind::kCondSignalled:
-      log_.append(trace::EventRecord::signal_exit(
+      record(trace::EventRecord::signal_exit(
           op.tid, proc_signal_, cond_sym_, !cond_queue_.empty(), op.time));
       break;
     case OpKind::kReset:
@@ -152,10 +142,16 @@ void SyntheticMonitor::apply_locked(const Op& op) const {
   }
 }
 
-std::vector<trace::EventRecord> SyntheticMonitor::drain_segment() {
+void SyntheticMonitor::drain_segment(std::vector<trace::EventRecord>& out) {
   std::lock_guard<std::mutex> lock(apply_mu_);
   apply_pending_locked();
-  return log_.drain();
+  log_.drain(out);
+}
+
+std::vector<trace::EventRecord> SyntheticMonitor::history() const {
+  std::lock_guard<std::mutex> lock(apply_mu_);
+  apply_pending_locked();
+  return log_.history();
 }
 
 trace::SchedulingState SyntheticMonitor::snapshot() const {

@@ -8,7 +8,8 @@
 // about to block on that mutex", "this thread now owns it", "this thread
 // parked on that condition".  SyntheticMonitor adapts those observations
 // into the same ingestion surface the native HoareMonitor feeds
-// (rt::EventSink): a reduced-model event segment, a <EQ, CQ[], holders,
+// (rt::EventSink): a reduced-model event segment (recorded only when trace
+// retention is on — see Config::retain_history), a <EQ, CQ[], holders,
 // Running> snapshot with per-episode tickets, and a checker gate — so the
 // CheckerPool's cross-monitor analyses (wait-for cycle confirmation,
 // lock-order prediction) run unchanged over an unmodified binary.
@@ -73,7 +74,10 @@ class SyntheticMonitor final : public rt::EventSink {
     std::size_t ring_capacity = 1024;
     /// Check cadence the pool reads from spec().
     util::TimeNs check_period = 100 * util::kMillisecond;
-    /// Archive drained events for trace export (ROBMON_TRACE).
+    /// Record and archive events for trace export (ROBMON_TRACE).  Off,
+    /// the monitor records no events at all: it is registered detector-less,
+    /// so the pool would drain them only to count them.  Snapshots,
+    /// tickets and the pool-level contributions do not depend on them.
     bool retain_history = false;
   };
 
@@ -108,14 +112,18 @@ class SyntheticMonitor final : public rt::EventSink {
   const core::MonitorSpec& spec() const override { return spec_; }
   const trace::SymbolTable& symbols() const override { return symbols_; }
   sync::CheckerGate& gate() override { return gate_; }
-  std::vector<trace::EventRecord> drain_segment() override;
+  void drain_segment(std::vector<trace::EventRecord>& out) override;
   std::uint64_t events_lost() const override { return log_.events_lost(); }
   trace::SchedulingState snapshot() const override;
 
   // --- Introspection / export. ----------------------------------------------
 
   Kind kind() const { return kind_; }
-  trace::EventLog& log() { return log_; }
+  /// The log's relaxed counters; history() is the export surface.
+  const trace::EventLog& log() const { return log_; }
+  /// Recorded events, archived plus pending, after folding every pending
+  /// op (empty unless retain_history).  Taken under apply_mu_.
+  std::vector<trace::EventRecord> history() const;
   /// Full-ring events applied inline by a producer (never dropped).
   std::uint64_t backpressure_syncs() const {
     return backpressure_syncs_.load(std::memory_order_relaxed);
@@ -146,6 +154,8 @@ class SyntheticMonitor final : public rt::EventSink {
   /// fold pending ops first.
   void apply_pending_locked() const;
   void apply_locked(const Op& op) const;
+  /// Append to the log when recording (retention) is on.  apply_mu_ held.
+  void record(const trace::EventRecord& event) const;
   void erase_entry_wait(Tid tid) const;
 
   const Kind kind_;
@@ -158,8 +168,8 @@ class SyntheticMonitor final : public rt::EventSink {
   trace::SymbolId cond_sym_ = trace::kNoSymbol;
 
   sync::CheckerGate gate_;
-  /// Single shard + appends under apply_mu_: total append order, like the
-  /// native monitor's log.
+  /// Owner-serialized by apply_mu_ (see EventLog's contract), like the
+  /// native monitor's log under its mu_.
   mutable trace::EventLog log_;
 
   /// Everything below apply_mu_ is logically part of observation:

@@ -385,7 +385,7 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
                                                   util::TimeNs rule_now,
                                                   bool* occupied_out) {
   const util::TimeNs started = wall_now();
-  std::vector<trace::EventRecord> segment;
+  std::vector<trace::EventRecord>& segment = entry.segment;
   std::optional<trace::SchedulingState> state;
   core::Detector::CheckStats stats;
   util::TimeNs gate_released = started;
@@ -417,7 +417,7 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   if (entry.options.hold_gate_during_check) {
     {
       sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-      segment = entry.monitor->drain_segment();
+      entry.monitor->drain_segment(segment);
       state = entry.monitor->snapshot();
       suppressed = entry.monitor->recovery_poisoned();
       evaluate();
@@ -426,7 +426,7 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   } else {
     {
       sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-      segment = entry.monitor->drain_segment();
+      entry.monitor->drain_segment(segment);
       state = entry.monitor->snapshot();
       suppressed = entry.monitor->recovery_poisoned();
     }
@@ -749,7 +749,7 @@ void CheckerPool::rebaseline_entry(Entry& entry) {
   // the post-action state.  The caller holds entry.check_mu, so no worker
   // check interleaves between the action and the new baseline.
   sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-  entry.monitor->drain_segment();
+  entry.monitor->drain_segment(entry.segment);
   if (entry.detector != nullptr) {
     entry.detector->rebaseline(entry.monitor->snapshot());
   }

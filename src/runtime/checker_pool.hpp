@@ -460,6 +460,10 @@ class CheckerPool {
     /// Serializes the actual checking routine per monitor.  Backend mutex:
     /// held across the gate quiesce, which blocks.
     sync::BackendMutex check_mu;
+    /// The last drained segment (check_mu).  drain_segment() swaps it with
+    /// the sink's pending buffer, so the two buffers are recycled instead
+    /// of reallocated every check.
+    std::vector<trace::EventRecord> segment;
   };
 
   struct HeapItem {

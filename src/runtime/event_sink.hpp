@@ -23,7 +23,7 @@
 // Contract:
 //   * spec()/symbols()/gate() must be stable for the registration lifetime
 //     (the pool holds references across checks).
-//   * drain_segment() and snapshot() are called with the gate held
+//   * drain_segment(out) and snapshot() are called with the gate held
 //     exclusively (hold_gate_during_check) or back-to-back under it; a
 //     snapshot must reflect every event already drained — the wait-for
 //     validation passes re-snapshot and require episode tickets to be
@@ -57,14 +57,17 @@ class EventSink {
   virtual const trace::SymbolTable& symbols() const = 0;
 
   /// Quiesce gate: the pool takes the exclusive side around
-  /// drain_segment() + snapshot(); producers hold the shared side (or are
+  /// drain_segment(out) + snapshot(); producers hold the shared side (or are
   /// lock-free and tolerate a stale-by-one-segment drain, like the
   /// interposition adapter's ring).
   virtual sync::CheckerGate& gate() = 0;
 
-  /// Remove and return every event recorded since the previous checking
-  /// point, in the order the detection algorithms may replay them.
-  virtual std::vector<trace::EventRecord> drain_segment() = 0;
+  /// Replace `out` with every event recorded since the previous checking
+  /// point, in the order the detection algorithms may replay them.  The
+  /// caller passes the same vector on every check, so an implementation
+  /// that swaps buffers (EventLog::drain) recycles its storage instead of
+  /// copying events.
+  virtual void drain_segment(std::vector<trace::EventRecord>& out) = 0;
 
   /// Events dropped by the ingestion path's overflow contract — exact
   /// accounting, never a silent gap (EventLog::events_lost()).

@@ -11,12 +11,13 @@ using trace::EventRecord;
 HoareMonitor::HoareMonitor(core::MonitorSpec spec, const util::Clock& clock,
                            inject::InjectionController& injection,
                            Instrumentation instrumentation,
-                           Semantics semantics)
+                           Semantics semantics, bool retain_history)
     : spec_(std::move(spec)),
       clock_(&clock),
       injection_(&injection),
       instrumentation_(instrumentation),
-      semantics_(semantics) {
+      semantics_(semantics),
+      log_(trace::EventLog::Options{.retain_history = retain_history}) {
   // Coordinator monitors own R# from the start (all Rmax resources free),
   // so the detector's initial state is consistent before any procedure of
   // the shared module has been constructed.
@@ -364,6 +365,16 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
   }
   if (wake_first != nullptr) wake_first->sem.release();
   if (wake_second != nullptr) wake_second->sem.release();
+}
+
+void HoareMonitor::drain_segment(std::vector<trace::EventRecord>& out) {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  log_.drain(out);
+}
+
+std::vector<trace::EventRecord> HoareMonitor::history() const {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  return log_.history();
 }
 
 trace::SchedulingState HoareMonitor::snapshot() const {

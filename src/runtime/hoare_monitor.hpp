@@ -70,7 +70,8 @@ class HoareMonitor : public EventSink {
                inject::InjectionController& injection =
                    inject::NullInjection::instance(),
                Instrumentation instrumentation = Instrumentation::kFull,
-               Semantics semantics = Semantics::kHoareSignalExit);
+               Semantics semantics = Semantics::kHoareSignalExit,
+               bool retain_history = false);
 
   HoareMonitor(const HoareMonitor&) = delete;
   HoareMonitor& operator=(const HoareMonitor&) = delete;
@@ -113,17 +114,20 @@ class HoareMonitor : public EventSink {
   // --- Observation / control. ----------------------------------------------
 
   trace::SchedulingState snapshot() const override;
-  trace::EventLog& log() { return log_; }
+  /// The log's relaxed counters (pending, total_appended, events_lost) for
+  /// any thread; everything else on the log is reached through the
+  /// methods below, which take mu_ (EventLog's owner-serialized contract).
   const trace::EventLog& log() const { return log_; }
+  /// Retained events (constructed with retain_history), archived plus
+  /// pending, in sequence order.
+  std::vector<trace::EventRecord> history() const;
   trace::SymbolTable& symbols() { return symbols_; }
   const trace::SymbolTable& symbols() const override { return symbols_; }
   const core::MonitorSpec& spec() const override { return spec_; }
   sync::CheckerGate& gate() override { return gate_; }
-  /// EventSink ingestion surface: the monitor's single-shard log keeps the
-  /// total append order Algorithm-1's segment replay depends on.
-  std::vector<trace::EventRecord> drain_segment() override {
-    return log_.drain();
-  }
+  /// EventSink ingestion surface: an O(1) buffer swap under mu_, in the
+  /// append order Algorithm-1's segment replay depends on.
+  void drain_segment(std::vector<trace::EventRecord>& out) override;
   std::uint64_t events_lost() const override { return log_.events_lost(); }
   Instrumentation instrumentation() const { return instrumentation_; }
   Semantics semantics() const { return semantics_; }
@@ -218,10 +222,9 @@ class HoareMonitor : public EventSink {
   Semantics semantics_;
 
   trace::SymbolTable symbols_;
-  /// Single shard: every append happens under mu_, so sharding buys nothing
-  /// here, and one shard preserves the total append order that Algorithm-1's
-  /// segment replay depends on (see EventLog's ordering contract).
-  trace::EventLog log_{/*retain_history=*/false, /*shards=*/1};
+  /// Owner-serialized by mu_: every append, drain and history read happens
+  /// under it (see EventLog's contract).
+  trace::EventLog log_;
   sync::CheckerGate gate_;
 
   mutable sync::SpinLock mu_;

@@ -10,7 +10,8 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
     : sink_(&sink),
       options_(options),
       monitor_(std::move(spec), *options.clock, *options.injection,
-               options.instrumentation, options.semantics),
+               options.instrumentation, options.semantics,
+               options.retain_trace),
       detector_(monitor_.spec(), monitor_.symbols(), sink) {
   CheckerPool::MonitorOptions policy;
   policy.hold_gate_during_check = options_.hold_gate_during_check;
@@ -35,7 +36,6 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
   pool_id_ = pool_->add(monitor_, detector_, std::move(policy));
   inline_mode_ = options_.check_instrumentation ==
                  CheckerPool::CheckInstrumentation::kInline;
-  if (options_.retain_trace) monitor_.log().set_retention(true);
   const std::string expression = monitor_.spec().effective_path_expression();
   if (!expression.empty()) order_spec_.emplace(expression);
 
@@ -161,7 +161,7 @@ trace::TraceFile RobustMonitor::export_trace() const {
   std::lock_guard<std::mutex> lock(checkpoints_mu_);
   return trace::make_trace_file(
       spec().name, std::string(core::to_string(spec().type)), spec().rmax,
-      monitor_.symbols(), monitor_.log().history(), checkpoints_,
+      monitor_.symbols(), monitor_.history(), checkpoints_,
       monitor_.log().events_lost());
 }
 

@@ -285,9 +285,10 @@ void SimMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond) {
 
 Process periodic_checker(Scheduler& scheduler, SimMonitor& monitor,
                          core::Detector& detector, CheckerOptions options) {
+  std::vector<trace::EventRecord> segment;
   for (std::uint64_t check = 0; check < options.max_checks; ++check) {
     co_await scheduler.delay(detector.spec().check_period);
-    const auto segment = monitor.log().drain();
+    monitor.log().drain(segment);
     detector.check(segment, monitor.snapshot(), scheduler.now());
     // Only the checker left: stop once the timer horizon has been covered.
     if (scheduler.live_count() <= 1 && check + 1 >= options.min_checks) {

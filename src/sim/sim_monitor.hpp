@@ -109,9 +109,8 @@ class SimMonitor {
   inject::InjectionController* injection_;
 
   trace::SymbolTable symbols_;
-  /// Single shard: the simulator is cooperatively scheduled, so appends are
-  /// already serialized and one shard preserves total append order.
-  trace::EventLog log_{/*retain_history=*/false, /*shards=*/1};
+  /// Owner-serialized for free: the simulator is cooperatively scheduled.
+  trace::EventLog log_;
 
   std::optional<trace::Pid> owner_;
   trace::SymbolId owner_proc_ = trace::kNoSymbol;

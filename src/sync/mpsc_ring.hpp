@@ -11,10 +11,10 @@
 // Concurrency contract:
 //   * try_push may be called from any number of threads concurrently —
 //     lock-free (a failed claim CAS means another producer made progress).
-//   * consume / peek / consumed_count form the consumer side: at most one
-//     thread at a time, externally serialized (EventLog holds drain_mu_).
-//     Different threads may act as the consumer at different times as long
-//     as the serialization orders them (a mutex does).
+//   * consume is the consumer side: at most one thread at a time,
+//     externally serialized (SyntheticMonitor holds apply_mu_).  Different
+//     threads may act as the consumer at different times as long as the
+//     serialization orders them (a mutex does).
 //   * A full ring rejects the push (returns false) instead of overwriting
 //     or spinning; the caller owns the overflow/loss policy.
 //
@@ -90,23 +90,6 @@ class MpscRing {
     }
     tail_.store(pos, std::memory_order_relaxed);
     return consumed;
-  }
-
-  /// Consumer side: invoke `fn(value)` on every currently published slot
-  /// without consuming it (snapshot support).  Published-but-unconsumed
-  /// slots cannot be reused by producers, so the values are stable.
-  template <typename Fn>
-  std::size_t peek(Fn&& fn) const {
-    std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    std::size_t seen = 0;
-    for (;;) {
-      const Slot& slot = slots_[static_cast<std::size_t>(pos) & mask_];
-      if (slot.turn.load(std::memory_order_acquire) != pos + 1) break;
-      fn(slot.value);
-      ++pos;
-      ++seen;
-    }
-    return seen;
   }
 
   std::size_t capacity() const { return capacity_; }

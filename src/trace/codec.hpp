@@ -84,7 +84,8 @@ struct TraceFile {
   /// Events the recorder's EventLog dropped under its overflow contract
   /// (v5 `loss` line; 0 — and the line omitted — for lossless recordings
   /// and for pre-v5 documents).  Non-zero warns offline consumers that
-  /// the event stream has accounted gaps beyond retired seq blocks.
+  /// the event stream has accounted gaps: each dropped event left its seq
+  /// unused.
   std::uint64_t events_lost = 0;
   std::vector<std::string> symbols;  ///< index = SymbolId.
   std::vector<EventRecord> events;

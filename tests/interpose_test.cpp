@@ -175,8 +175,9 @@ TEST(SyntheticMonitorTest, TicketsDistinguishWaitEpisodes) {
 
 TEST(SyntheticMonitorTest, BackpressureAppliesInlineWithoutLoss) {
   util::ManualClock clock;
-  SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex, clock,
-                     small_config(/*ring_capacity=*/2));
+  SyntheticMonitor::Config config = small_config(/*ring_capacity=*/2);
+  config.retain_history = true;  // Record events, so loss is countable.
+  SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex, clock, config);
   // Nobody drains while a burst far larger than the ring arrives: the
   // producer must fold the backlog inline, never drop it.
   for (int i = 0; i < 64; ++i) {
@@ -188,7 +189,38 @@ TEST(SyntheticMonitorTest, BackpressureAppliesInlineWithoutLoss) {
   const trace::SchedulingState state = m.snapshot();
   EXPECT_FALSE(state.has_running());
   // Every acquire/release pair was recorded despite the tiny ring.
-  EXPECT_EQ(m.drain_segment().size(), 128u);
+  std::vector<trace::EventRecord> segment;
+  m.drain_segment(segment);
+  EXPECT_EQ(segment.size(), 128u);
+  EXPECT_EQ(m.history().size(), 128u);
+}
+
+TEST(SyntheticMonitorTest, RetentionOffRecordsNothingButStateMoves) {
+  // Without trace retention a synthetic monitor records no events (the
+  // pool would drain them only to count them), but its snapshots and
+  // episode tickets — all the pool-level analyses read — move as usual.
+  util::ManualClock clock;
+  SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  m.lock_acquired(1);
+  m.lock_blocked(2);
+  const trace::SchedulingState held = m.snapshot();
+  EXPECT_EQ(held.running, 1);
+  ASSERT_EQ(held.entry_queue.size(), 1u);
+  EXPECT_EQ(held.entry_queue[0].pid, 2);
+  m.unlocked(1);
+  m.lock_acquired(2);
+  const trace::SchedulingState handed = m.snapshot();
+  EXPECT_EQ(handed.running, 2);
+  EXPECT_TRUE(handed.entry_queue.empty());
+  EXPECT_GT(handed.running_ticket, held.running_ticket);
+
+  std::vector<trace::EventRecord> segment;
+  m.drain_segment(segment);
+  EXPECT_TRUE(segment.empty());
+  EXPECT_TRUE(m.history().empty());
+  EXPECT_EQ(m.log().total_appended(), 0u);
+  EXPECT_EQ(m.events_lost(), 0u);
 }
 
 // --- Equivalence: native monitor vs. shim-adapted observation. ---------------

@@ -40,18 +40,6 @@ TEST(MpscRingTest, FullRingRejectsPushUntilConsumed) {
   EXPECT_FALSE(ring.try_push(99));
 }
 
-TEST(MpscRingTest, PeekIsNonDestructive) {
-  MpscRing<int> ring(8);
-  for (int i = 0; i < 3; ++i) ring.try_push(i);
-  std::vector<int> seen;
-  EXPECT_EQ(ring.peek([&](const int& v) { seen.push_back(v); }), 3u);
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
-  // The same elements are still there for consume().
-  seen.clear();
-  EXPECT_EQ(ring.consume([&](int v) { seen.push_back(v); }), 3u);
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(MpscRingTest, ConsumeMaxBoundsTheBatch) {
   MpscRing<int> ring(8);
   for (int i = 0; i < 6; ++i) ring.try_push(i);

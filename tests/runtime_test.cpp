@@ -395,6 +395,57 @@ TEST(TraceExportTest, ExportedTraceReplaysClean) {
             exported.events.size());
 }
 
+TEST(TraceExportTest, CheckAndExportRaceApplicationThreads) {
+  // The owner-serialized EventLog is touched from three sides at once:
+  // application threads append under the monitor lock, a checker drains
+  // it, and an exporter reads its history.  Every cross-thread access must
+  // go through the monitor (TSan referees), and the exported stream must
+  // stay dense and lossless throughout.
+  CollectingSink sink;
+  RobustMonitor::Options options;
+  options.retain_trace = true;
+  RobustMonitor monitor(relaxed_timers(MonitorSpec::manager("race")), sink,
+                        options);
+  constexpr int kThreads = 3;
+  constexpr int kOps = 400;
+  std::atomic<int> running{kThreads};
+  std::atomic<bool> checking{false};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      while (!checking.load()) std::this_thread::yield();
+      for (int i = 0; i < kOps; ++i) {
+        ASSERT_EQ(monitor.enter(t, "Op"), Status::kOk);
+        monitor.exit(t);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::size_t exports = 0;
+  std::thread checker([&] {
+    do {
+      monitor.check_now();
+      const trace::TraceFile exported = monitor.export_trace();
+      checking.store(true);
+      for (std::size_t i = 0; i < exported.events.size(); ++i) {
+        ASSERT_EQ(exported.events[i].seq, i);
+      }
+      ++exports;
+    } while (running.load() > 0);
+  });
+  for (auto& client : clients) client.join();
+  checker.join();
+  monitor.check_now();
+
+  const trace::TraceFile exported = monitor.export_trace();
+  EXPECT_GT(exports, 0u);
+  EXPECT_EQ(exported.events_lost, 0u);
+  EXPECT_EQ(exported.events.size(), monitor.monitor().log().total_appended());
+  EXPECT_GE(exported.events.size(), 2u * kThreads * kOps);
+  EXPECT_EQ(monitor.monitor().log().pending(), 0u);
+  EXPECT_EQ(sink.count(), 0u);
+}
+
 TEST(LoadGenTest, AllThreeTypesRunClean) {
   for (const core::MonitorType type :
        {core::MonitorType::kCommunicationCoordinator,

@@ -38,22 +38,22 @@ using wl::ScheduleScenario;
 // point, so a change to the locks a destructor takes can move a digest
 // without changing the scorecard.
 const CorpusRow kCorpus[] = {
-    {ScheduleScenario::kRecoveryFull, 1, 0x331c9b537599123eULL,
+    {ScheduleScenario::kRecoveryFull, 1, 0xec1dea148f87b47cULL,
      "wf=1 lo=1 act=2 poison=1 deliver=0 unpoison=1 impose=1 fenced=1 "
      "rf=1 reports=4"},
-    {ScheduleScenario::kRecoveryFull, 2, 0x8d3b1e9af114d61cULL,
+    {ScheduleScenario::kRecoveryFull, 2, 0xd9a0af4247bfe813ULL,
      "wf=1 lo=1 act=2 poison=1 deliver=0 unpoison=1 impose=1 fenced=1 "
      "rf=1 reports=4"},
-    {ScheduleScenario::kDeliverToVictim, 1, 0x7076a6b10e5e0276ULL,
+    {ScheduleScenario::kDeliverToVictim, 1, 0xb8827e3fbacac9f7ULL,
      "wf=1 lo=0 act=1 poison=0 deliver=1 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kDeliverToVictim, 2, 0x161b35d6135122eaULL,
+    {ScheduleScenario::kDeliverToVictim, 2, 0xef95f7fea65d0822ULL,
      "wf=1 lo=0 act=1 poison=0 deliver=1 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
     {ScheduleScenario::kPoisonDuringWait, 1, 0x4195c1a9c16e3f74ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=9 reports=0"},
-    {ScheduleScenario::kPoisonDuringWait, 2, 0x5e8c29b1d5eccfddULL,
+    {ScheduleScenario::kPoisonDuringWait, 2, 0xf9aab1b76f21812fULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=9 reports=0"},
     {ScheduleScenario::kUnpoisonRacesNewBlocker, 1, 0x5bfce86855b749f1ULL,
@@ -62,16 +62,16 @@ const CorpusRow kCorpus[] = {
     {ScheduleScenario::kUnpoisonRacesNewBlocker, 2, 0xd33bfc3c8e7cc868ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=6 reports=0"},
-    {ScheduleScenario::kRemovePoisonedMonitor, 1, 0xa06f29f95637bcd8ULL,
+    {ScheduleScenario::kRemovePoisonedMonitor, 1, 0xc7756b3fc320f97dULL,
      "wf=1 lo=0 act=1 poison=1 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kRemovePoisonedMonitor, 2, 0x0c3525fd76dc5c1dULL,
+    {ScheduleScenario::kRemovePoisonedMonitor, 2, 0x69e2f6c0f07a6cd3ULL,
      "wf=1 lo=0 act=1 poison=1 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kGateImpositionRacesCrossing, 1, 0x1ae78425703b378eULL,
+    {ScheduleScenario::kGateImpositionRacesCrossing, 1, 0x6d6ab3aefc42ea97ULL,
      "wf=0 lo=1 act=1 poison=0 deliver=0 unpoison=0 impose=1 fenced=10 "
      "rf=0 reports=2"},
-    {ScheduleScenario::kGateImpositionRacesCrossing, 2, 0x930c9cde2cb78699ULL,
+    {ScheduleScenario::kGateImpositionRacesCrossing, 2, 0xc98678d8f5f71daaULL,
      "wf=0 lo=1 act=1 poison=0 deliver=0 unpoison=0 impose=1 fenced=14 "
      "rf=0 reports=2"},
 };

@@ -15,6 +15,12 @@ namespace {
 using core::MonitorSpec;
 using trace::EventKind;
 
+std::vector<trace::EventRecord> drain(trace::EventLog& log) {
+  std::vector<trace::EventRecord> segment;
+  log.drain(segment);
+  return segment;
+}
+
 Process appender(Scheduler& sched, std::vector<int>& order, int id,
                  int rounds) {
   for (int i = 0; i < rounds; ++i) {
@@ -157,7 +163,7 @@ TEST(SimMonitorTest, EventSequenceForUncontendedEnterExit) {
   std::vector<trace::Pid> order;
   rig.sched.spawn(1, enter_exit(rig.monitor, order, 1, 0));
   rig.sched.run();
-  const auto events = rig.monitor.log().drain();
+  const auto events = drain(rig.monitor.log());
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, EventKind::kEnter);
   EXPECT_TRUE(events[0].flag);  // immediate entry
@@ -171,7 +177,7 @@ TEST(SimMonitorTest, ContendedEntryRecordsFlagZeroOnce) {
   rig.sched.spawn(1, enter_exit(rig.monitor, order, 1, 500'000));
   rig.sched.spawn(2, enter_exit(rig.monitor, order, 2, 0));
   rig.sched.run();
-  const auto events = rig.monitor.log().drain();
+  const auto events = drain(rig.monitor.log());
   // Enter(1,1), Enter(2,0), SignalExit(1), SignalExit(2): the resume of p2
   // is implied by SignalExit(1) per the reduced model, not re-recorded.
   ASSERT_EQ(events.size(), 4u);
@@ -205,7 +211,7 @@ TEST(SimMonitorTest, SignalExitHandsOffToCondWaiter) {
   rig.sched.spawn(2, signal_once(rig.monitor));
   EXPECT_EQ(rig.sched.run(), Scheduler::StopReason::kAllDone);
   EXPECT_EQ(marks, (std::vector<int>{10, 11}));
-  const auto events = rig.monitor.log().drain();
+  const auto events = drain(rig.monitor.log());
   // Enter(1,1) Wait(1) Enter(2,1) SignalExit(2,go,1) SignalExit(1).
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events[3].kind, EventKind::kSignalExit);
@@ -217,7 +223,7 @@ TEST(SimMonitorTest, SignalWithNoWaiterHasFlagZero) {
   MonitorRig rig;
   rig.sched.spawn(2, signal_once(rig.monitor));
   rig.sched.run();
-  const auto events = rig.monitor.log().drain();
+  const auto events = drain(rig.monitor.log());
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1].kind, EventKind::kSignalExit);
   EXPECT_FALSE(events[1].flag);
@@ -260,7 +266,7 @@ TEST(SimMonitorTest, RandomSeedYieldsByteIdenticalEventLog) {
     }
     EXPECT_EQ(sched.run(), Scheduler::StopReason::kAllDone);
     return trace::write_trace_string(trace::make_trace_file(
-        "m", "manager", -1, monitor.symbols(), monitor.log().drain(), {}));
+        "m", "manager", -1, monitor.symbols(), drain(monitor.log()), {}));
   };
   const std::string base = trace_for(99);
   EXPECT_FALSE(base.empty());
@@ -279,7 +285,7 @@ TEST(SimMonitorTest, StateTraceAlignsWithEvents) {
   rig.sched.spawn(1, wait_then_exit(rig.monitor, marks, 1, 2));
   rig.sched.spawn(2, signal_once(rig.monitor));
   rig.sched.run();
-  const auto events = rig.monitor.log().drain();
+  const auto events = drain(rig.monitor.log());
   const auto& states = rig.monitor.state_trace();
   EXPECT_EQ(states.size(), events.size() + 1);
 }

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <mutex>
-#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -73,11 +71,17 @@ TEST(EventTest, DescribeHumanReadable) {
             "Signal-Exit(p3, Send, full, 0)");
 }
 
+/// Drain into a fresh vector (tests that do not care about recycling).
+std::vector<EventRecord> drain(EventLog& log) {
+  std::vector<EventRecord> segment;
+  log.drain(segment);
+  return segment;
+}
+
 TEST(EventLogTest, AppendAssignsSequence) {
   EventLog log;
   EXPECT_EQ(log.append(EventRecord::enter(1, 0, true, 10)), 0u);
   EXPECT_EQ(log.append(EventRecord::enter(2, 0, false, 20)), 1u);
-  EXPECT_EQ(log.seq_block(), EventLog::kDefaultSeqBlock);
   EXPECT_EQ(log.pending(), 2u);
   EXPECT_EQ(log.total_appended(), 2u);
 }
@@ -86,46 +90,96 @@ TEST(EventLogTest, DrainEmptiesBuffer) {
   EventLog log;
   log.append(EventRecord::enter(1, 0, true, 10));
   log.append(EventRecord::wait(1, 0, 1, 20));
-  const auto first = log.drain();
+  const auto first = drain(log);
   ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(first[0].seq, 0u);
   EXPECT_EQ(first[1].seq, 1u);
   EXPECT_EQ(log.pending(), 0u);
-  EXPECT_TRUE(log.drain().empty());
+  EXPECT_TRUE(drain(log).empty());
   log.append(EventRecord::signal_exit(1, 0, 1, false, 30));
-  const auto second = log.drain();
+  const auto second = drain(log);
   ASSERT_EQ(second.size(), 1u);
-  // Drain boundaries are pinned in seq space: the drain retired the unused
-  // block remainder, so the next append sorts strictly after the first
-  // segment (seqs are unique and boundary-monotone, not dense).
-  EXPECT_GT(second[0].seq, first[1].seq);
+  EXPECT_EQ(second[0].seq, 2u);
   EXPECT_EQ(log.total_appended(), 3u);
 }
 
-TEST(EventLogTest, SeqBlockOneKeepsDenseSequences) {
-  // Block size 1 reproduces the per-event allocation: dense seqs across
-  // drain boundaries (the appender-throughput bench baseline).
-  EventLog log(/*retain_history=*/false, EventLog::kDefaultShards,
-               /*seq_block=*/1);
-  log.append(EventRecord::enter(1, 0, true, 10));
-  log.append(EventRecord::wait(1, 0, 1, 20));
-  log.drain();
-  log.append(EventRecord::signal_exit(1, 0, 1, false, 30));
-  const auto second = log.drain();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].seq, 2u);
+TEST(EventLogTest, DrainReplacesStaleContents) {
+  EventLog log;
+  std::vector<EventRecord> out = {EventRecord::enter(9, 0, true, 1),
+                                  EventRecord::enter(9, 0, true, 2)};
+  log.append(EventRecord::wait(1, 0, 1, 10));
+  log.drain(out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].pid, 1);
+  log.drain(out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(EventLogTest, SeqsAreDenseAndStrictlyIncreasingAcrossDrains) {
+  EventLog log;
+  std::vector<EventRecord> segment;
+  std::uint64_t expected = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i <= round; ++i) {
+      log.append(EventRecord::enter(1, 0, true, i));
+    }
+    log.drain(segment);
+    ASSERT_EQ(segment.size(), static_cast<std::size_t>(round + 1));
+    for (const EventRecord& event : segment) {
+      EXPECT_EQ(event.seq, expected++) << "round " << round;
+    }
+  }
+  EXPECT_EQ(log.total_appended(), expected);
+}
+
+TEST(EventLogTest, DrainSwapReusesStorageAfterTwoRoundTrips) {
+  // drain() swaps buffers with its caller: after two round trips the
+  // caller's vector is back on its own storage, and neither buffer was
+  // reallocated or copied into.
+  EventLog log;
+  std::vector<EventRecord> out;
+  out.reserve(64);
+  const EventRecord* const own = out.data();
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 8; ++i) log.append(EventRecord::enter(1, 0, true, i));
+    log.drain(out);
+    ASSERT_EQ(out.size(), 8u);
+  }
+  EXPECT_EQ(out.data(), own);
+  EXPECT_GE(out.capacity(), 64u);
+  EXPECT_EQ(out.front().seq, 8u);
 }
 
 TEST(EventLogTest, RetentionArchivesEverything) {
-  EventLog log(/*retain_history=*/true);
+  EventLog log(EventLog::Options{.retain_history = true});
   log.append(EventRecord::enter(1, 0, true, 10));
-  log.drain();
+  drain(log);
   log.append(EventRecord::wait(1, 0, 1, 20));
-  log.drain();
+  drain(log);
   const auto history = log.history();
   ASSERT_EQ(history.size(), 2u);
   EXPECT_EQ(history[0].kind, EventKind::kEnter);
   EXPECT_EQ(history[1].kind, EventKind::kWait);
+}
+
+TEST(EventLogTest, RetentionArchivesExactlyWhatWasDrained) {
+  EventLog log(EventLog::Options{.retain_history = true});
+  std::vector<EventRecord> segment;
+  std::vector<EventRecord> drained;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 4 + round; ++i) {
+      log.append(EventRecord::enter(round, 0, true, i));
+    }
+    log.drain(segment);
+    drained.insert(drained.end(), segment.begin(), segment.end());
+  }
+  const auto history = log.history();
+  ASSERT_EQ(history.size(), drained.size());
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(history[i].seq, drained[i].seq);
+    EXPECT_EQ(history[i].pid, drained[i].pid);
+    EXPECT_EQ(history[i].time, drained[i].time);
+  }
 }
 
 TEST(EventLogTest, RetentionOffByDefault) {
@@ -135,191 +189,89 @@ TEST(EventLogTest, RetentionOffByDefault) {
 }
 
 TEST(EventLogTest, HistoryIncludesPendingWhenRetained) {
-  EventLog log(/*retain_history=*/true);
+  EventLog log(EventLog::Options{.retain_history = true});
   log.append(EventRecord::enter(1, 0, true, 10));
   log.append(EventRecord::wait(1, 0, 1, 20));
-  log.drain();
+  drain(log);
   log.append(EventRecord::signal_exit(1, 0, 1, false, 30));  // not drained
   const auto history = log.history();
   ASSERT_EQ(history.size(), 3u);
-  for (std::size_t i = 1; i < history.size(); ++i) {
-    EXPECT_GT(history[i].seq, history[i - 1].seq);  // seq order, not dense
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(history[i].seq, i);
   }
   EXPECT_EQ(history.back().kind, EventKind::kSignalExit);
 }
 
-TEST(EventLogTest, ConcurrentAppendsDrainLosslessAndSeqOrdered) {
+TEST(EventLogTest, SerializedAppendsKeepTotalOrder) {
+  // The HoareMonitor discipline: appends and drains from many threads, all
+  // serialized by the owner's lock.  The drained stream must reproduce the
+  // exact append order — Algorithm-1 replays the segment as an
+  // order-sensitive state machine.
   EventLog log;
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 2000;
-  std::vector<std::thread> threads;
+  std::mutex owner_mu;
+  long order = 0;
   std::vector<EventRecord> drained;
-  std::mutex drained_mu;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        log.append(EventRecord::enter(t, 0, true, static_cast<long>(i)));
-        if (i % 256 == 0) {
-          // Interleave drains with appends from other threads.
-          auto segment = log.drain();
-          std::lock_guard<std::mutex> lock(drained_mu);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      std::vector<EventRecord> segment;
+      for (int i = 1; i <= 500; ++i) {
+        std::lock_guard<std::mutex> lock(owner_mu);
+        log.append(EventRecord::enter(1, 0, true, order++));
+        if (i % 64 == 0) {
+          log.drain(segment);
           drained.insert(drained.end(), segment.begin(), segment.end());
         }
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  {
-    auto segment = log.drain();
-    drained.insert(drained.end(), segment.begin(), segment.end());
-  }
-  constexpr std::uint64_t kTotal = kThreads * kPerThread;
-  EXPECT_EQ(log.total_appended(), kTotal);
-  EXPECT_EQ(log.pending(), 0u);
-  ASSERT_EQ(drained.size(), kTotal);
-  // Every event exactly once; seqs unique with bounded gaps (each drain may
-  // retire up to one partial block per shard).
-  const std::uint64_t bound =
-      kTotal + (kTotal / 256 + 2) * log.shard_count() * log.seq_block();
-  std::vector<bool> seen(bound, false);
-  for (const auto& event : drained) {
-    ASSERT_LT(event.seq, bound);
-    EXPECT_FALSE(seen[event.seq]) << "duplicate seq " << event.seq;
-    seen[event.seq] = true;
-  }
-  // Per-thread monotonicity: sorted by seq, each thread's payloads (the
-  // loop index stored in `time`) appear in append order.
-  std::sort(drained.begin(), drained.end(),
-            [](const EventRecord& a, const EventRecord& b) {
-              return a.seq < b.seq;
-            });
-  std::vector<long> last_payload(kThreads, -1);
-  for (const auto& event : drained) {
-    ASSERT_GE(event.pid, 0);
-    ASSERT_LT(static_cast<std::size_t>(event.pid), last_payload.size());
-    EXPECT_GT(event.time, last_payload[event.pid])
-        << "thread " << event.pid << " reordered";
-    last_payload[event.pid] = event.time;
-  }
-}
-
-TEST(EventLogTest, QuiescedDrainIsSeqSortedAndBoundaryMonotone) {
-  // With appenders quiesced (the checker-gate discipline), each drain is a
-  // lossless, seq-sorted segment, and no later event sorts below it (the
-  // drain retires every shard's unused sequence-block remainder).
-  EventLog log;
-  std::uint64_t previous_max = 0;
-  bool have_previous = false;
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&log, t] {
-        for (int i = 0; i < 500; ++i) {
-          log.append(EventRecord::enter(t, 0, true, i));
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    const auto segment = log.drain();
-    ASSERT_EQ(segment.size(), 2000u);
-    for (std::size_t i = 1; i < segment.size(); ++i) {
-      ASSERT_LT(segment[i - 1].seq, segment[i].seq);
-    }
-    if (have_previous) {
-      EXPECT_GT(segment.front().seq, previous_max)
-          << "event migrated past a drain boundary in seq space";
-    }
-    previous_max = segment.back().seq;
-    have_previous = true;
-  }
-}
-
-TEST(EventLogTest, SingleShardSerializedAppendsKeepTotalOrder) {
-  // The HoareMonitor discipline: appends from many threads, but serialized
-  // by an external lock, into a single-shard log.  The drain-merge must
-  // reproduce the exact append order — Algorithm-1 replays the segment as
-  // an order-sensitive state machine.
-  EventLog log(/*retain_history=*/false, /*shards=*/1);
-  std::mutex order_mu;
-  long order = 0;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        std::lock_guard<std::mutex> lock(order_mu);
-        log.append(EventRecord::enter(1, 0, true, order++));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const auto segment = log.drain();
-  ASSERT_EQ(segment.size(), 2000u);
-  for (std::size_t i = 0; i < segment.size(); ++i) {
-    ASSERT_EQ(segment[i].time, static_cast<long>(i))
+  const auto rest = drain(log);
+  drained.insert(drained.end(), rest.begin(), rest.end());
+  ASSERT_EQ(drained.size(), 2000u);
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    ASSERT_EQ(drained[i].time, static_cast<long>(i))
         << "append order lost at position " << i;
+    ASSERT_EQ(drained[i].seq, i);
   }
 }
 
-TEST(EventLogTest, StaleThreadCacheNeverResolvesToDeadShard) {
-  // The per-thread shard cache is keyed by log id, not address: destroy a
-  // log, construct a new one at the same address, and this thread's cached
-  // (now dangling) shard pointer must not resolve for the new log.
-  alignas(EventLog) unsigned char storage[sizeof(EventLog)];
-  EventLog* log = new (storage) EventLog();
-  log->append(EventRecord::enter(1, 0, true, 10));  // warms the cache
-  log->~EventLog();
-  EventLog* reborn = new (storage) EventLog();
-  EXPECT_EQ(reborn->total_appended(), 0u);
-  reborn->append(EventRecord::enter(2, 0, true, 20));
-  EXPECT_EQ(reborn->total_appended(), 1u);
-  const auto segment = reborn->drain();
-  ASSERT_EQ(segment.size(), 1u);
-  EXPECT_EQ(segment[0].pid, 2);
-  EXPECT_EQ(segment[0].seq, 0u);  // fresh log, fresh sequence space
-  reborn->~EventLog();
-}
-
-TEST(EventLogTest, OverflowSpillsThenDropsWithExactAccounting) {
-  EventLog::Options options;
-  options.shards = 1;
-  options.ring_capacity = 8;
-  options.overflow_capacity = 4;
-  EventLog log(options);
+TEST(EventLogTest, OverflowDropsWithExactAccounting) {
+  EventLog log(EventLog::Options{.capacity = 12});
   for (int i = 0; i < 20; ++i) {
     log.append(EventRecord::enter(1, 0, true, i));
   }
-  // 8 fill the ring, 4 spill to the bounded overflow list, 8 drop — and
-  // every drop is counted: accepted + lost == issued.
+  // 12 fill the bound, 8 drop — and every drop is counted: accepted + lost
+  // == issued.  Dropped events consumed seqs 12..19.
   EXPECT_EQ(log.total_appended(), 12u);
   EXPECT_EQ(log.events_lost(), 8u);
-  const auto drained = log.drain();
+  const auto drained = drain(log);
   ASSERT_EQ(drained.size(), 12u);
-  for (std::size_t i = 1; i < drained.size(); ++i) {
-    EXPECT_LT(drained[i - 1].seq, drained[i].seq);
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(drained[i].seq, i);
   }
   EXPECT_EQ(log.pending(), 0u);
-  // The ring is reusable after the drain; the loss counter is cumulative.
-  log.append(EventRecord::enter(1, 0, true, 99));
+  // The bound frees up after the drain; the loss counter is cumulative,
+  // and the seq gap marks exactly the dropped events.
+  EXPECT_EQ(log.append(EventRecord::enter(1, 0, true, 99)), 20u);
   EXPECT_EQ(log.total_appended(), 13u);
   EXPECT_EQ(log.events_lost(), 8u);
 }
 
 TEST(EventLogTest, ConcurrentOverflowAccountingIsExactUnderStalledDrain) {
-  // Appender threads race into one deliberately undersized shard while no
-  // drain runs (a stalled consumer).  The overflow contract under
-  // contention: every append is either accepted — and drains exactly once
-  // — or counted lost.  No silent drops, no duplicates.
-  EventLog::Options options;
-  options.shards = 1;
-  options.ring_capacity = 64;
-  options.overflow_capacity = 64;
-  EventLog log(options);
+  // Appender threads, serialized by the owner's lock, race into one
+  // deliberately undersized log while no drain runs (a stalled consumer).
+  // Every append is either accepted — and drains exactly once — or counted
+  // lost.  No silent drops, no duplicates.
+  EventLog log(EventLog::Options{.capacity = 128});
+  std::mutex owner_mu;
   constexpr std::uint64_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 1000;
   std::vector<std::thread> threads;
   for (std::uint64_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log, t] {
+    threads.emplace_back([&log, &owner_mu, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        std::lock_guard<std::mutex> lock(owner_mu);
         log.append(EventRecord::enter(static_cast<Pid>(t), 0, true,
                                       static_cast<long>(i)));
       }
@@ -328,16 +280,16 @@ TEST(EventLogTest, ConcurrentOverflowAccountingIsExactUnderStalledDrain) {
   for (auto& thread : threads) thread.join();
   constexpr std::uint64_t kIssued = kThreads * kPerThread;
   EXPECT_EQ(log.total_appended() + log.events_lost(), kIssued);
-  EXPECT_GT(log.events_lost(), 0u);  // 128 slots cannot hold 4000 events
-  const auto drained = log.drain();
+  EXPECT_EQ(log.total_appended(), 128u);
+  const auto drained = drain(log);
   EXPECT_EQ(drained.size(), log.total_appended());
   for (std::size_t i = 1; i < drained.size(); ++i) {
     ASSERT_LT(drained[i - 1].seq, drained[i].seq) << "duplicate seq";
   }
   EXPECT_EQ(log.pending(), 0u);
-  // Accepting resumes once the drain frees the ring.
+  // Accepting resumes once the drain frees the bound.
   log.append(EventRecord::enter(0, 0, true, 0));
-  EXPECT_EQ(log.drain().size(), 1u);
+  EXPECT_EQ(drain(log).size(), 1u);
 }
 
 SchedulingState sample_state() {
