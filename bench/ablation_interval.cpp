@@ -3,61 +3,25 @@
 // checking routine at the price of detection latency and of post-checking
 // accuracy.
 //
-// Part A (deterministic simulator): detection latency, in virtual
-// milliseconds, of a representative non-timer fault under decreasing T.
-// Part B (real threads): throughput overhead of the same interval sweep,
-// plus the effect of the paper's "suspend everything while checking" design
-// against the release-after-snapshot variant.
+// Real threads: throughput overhead of a checking-interval sweep, plus the
+// effect of the paper's "suspend everything while checking" design against
+// the release-after-snapshot variant.  The latency side of the trade-off
+// (detection latency vs T, virtual time) is the second table of
+// bench/coverage_matrix.
 #include <cstdio>
 #include <vector>
 
 #include "util/flags.hpp"
-#include "util/stats.hpp"
 #include "workloads/loadgen.hpp"
-#include "workloads/sim_scenarios.hpp"
 
 using namespace robmon;
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  flags.define("trials", "5", "seeds per latency cell");
-  flags.define("ops", "3000", "operations per worker (part B)");
+  flags.define("ops", "3000", "operations per worker");
   if (!flags.parse(argc, argv)) return 2;
-  const auto trials = static_cast<std::uint64_t>(flags.i64("trials"));
 
-  // --- Part A: detection latency vs T (virtual time). -----------------------
-  std::printf("Part A: detection latency vs checking interval "
-              "(fault II.a send-delay-wrong, %llu seeds, simulator)\n\n",
-              static_cast<unsigned long long>(trials));
-  std::printf("%-14s %-18s %-14s\n", "T (virtual)", "mean latency",
-              "checks to detect");
-  const std::vector<util::TimeNs> intervals = {
-      2 * util::kMillisecond, 5 * util::kMillisecond,
-      15 * util::kMillisecond, 30 * util::kMillisecond,
-      60 * util::kMillisecond};
-  for (const util::TimeNs interval : intervals) {
-    util::RunningStats latency_ms;
-    util::RunningStats checks;
-    for (std::uint64_t seed = 1; seed <= trials; ++seed) {
-      wl::CoverageConfig config;
-      config.check_period = interval;
-      // Keep T > Tmax only when it fits the paper's constraint; for the
-      // small-T arms this deliberately enters the near-real-time regime.
-      const wl::CoverageOutcome outcome = wl::run_coverage_trial(
-          core::FaultKind::kSendDelayWrong, seed, config);
-      if (outcome.injected && outcome.detected) {
-        latency_ms.add(static_cast<double>(outcome.detection_check) *
-                       static_cast<double>(interval) / 1e6);
-        checks.add(static_cast<double>(outcome.detection_check));
-      }
-    }
-    std::printf("%10.0f ms  %12.1f ms  %10.1f\n",
-                static_cast<double>(interval) / 1e6, latency_ms.mean(),
-                checks.mean());
-  }
-
-  // --- Part B: overhead vs T and the gate-holding ablation. ------------------
-  std::printf("\nPart B: throughput vs checking interval "
+  std::printf("Throughput vs checking interval "
               "(coordinator, 4 threads, real time)\n\n");
   std::printf("%-14s %-16s %-16s %-16s\n", "T", "hold-gate (paper)",
               "release-early", "no checking");

@@ -2,9 +2,10 @@
 // kinds as classified in Section 3.2 are injected randomly for evaluating
 // the coverage of the fault detection algorithms").
 //
-// The monitor implementations (runtime/hoare_monitor, sim/sim_monitor) and
-// the buggy workload variants consult an InjectionController at each
-// decision point that a taxonomy fault can subvert.  The instrumentation
+// The monitor implementation (runtime/hoare_monitor) and the buggy workload
+// variants (workloads/bounded_buffer, workloads/allocator) consult an
+// InjectionController at each decision point that a taxonomy fault can
+// subvert.  The instrumentation
 // (data-gathering routines) stays correct — faults corrupt *behaviour*, and
 // the recorded events/states reflect what actually happened, which is what
 // the detector checks.

@@ -8,6 +8,24 @@ namespace robmon::rt {
 using core::FaultKind;
 using trace::EventRecord;
 
+class HoareMonitor::StateTraceScope {
+ public:
+  explicit StateTraceScope(HoareMonitor& monitor)
+      : monitor_(monitor), appended_(monitor.log_.total_appended()) {}
+  ~StateTraceScope() {
+    if (monitor_.state_trace_enabled_ &&
+        monitor_.log_.total_appended() != appended_) {
+      monitor_.state_trace_.push_back(monitor_.snapshot_locked());
+    }
+  }
+  StateTraceScope(const StateTraceScope&) = delete;
+  StateTraceScope& operator=(const StateTraceScope&) = delete;
+
+ private:
+  HoareMonitor& monitor_;
+  std::uint64_t appended_;
+};
+
 HoareMonitor::HoareMonitor(core::MonitorSpec spec, const util::Clock& clock,
                            inject::InjectionController& injection,
                            Instrumentation instrumentation,
@@ -39,6 +57,18 @@ void HoareMonitor::record(const trace::EventRecord& event) {
 void HoareMonitor::set_resource_gauge(std::function<std::int64_t()> gauge) {
   std::lock_guard<sync::SpinLock> lock(mu_);
   resource_gauge_ = std::move(gauge);
+}
+
+void HoareMonitor::enable_state_trace() {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  state_trace_enabled_ = true;
+  state_trace_.clear();
+  state_trace_.push_back(snapshot_locked());
+}
+
+std::vector<trace::SchedulingState> HoareMonitor::state_trace() const {
+  std::lock_guard<sync::SpinLock> lock(mu_);
+  return state_trace_;
 }
 
 Status HoareMonitor::enter(trace::Pid pid, const std::string& procedure) {
@@ -100,6 +130,7 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
     std::optional<sync::CheckerGate::SharedScope> gate_scope;
     if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
     std::lock_guard<sync::SpinLock> lock(mu_);
+    StateTraceScope trace_scope(*this);
     if (poisoned_) return Status::kPoisoned;
 
     // Fault I.a.4: run inside without Enter being observed.
@@ -172,6 +203,7 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
     std::optional<sync::CheckerGate::SharedScope> gate_scope;
     if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
     std::lock_guard<sync::SpinLock> lock(mu_);
+    StateTraceScope trace_scope(*this);
     if (poisoned_) return Status::kPoisoned;
     if (recovery_poisoned_) {
       // The caller owns the monitor; a rejected wait must not leave it
@@ -287,6 +319,7 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
     std::optional<sync::CheckerGate::SharedScope> gate_scope;
     if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
     std::lock_guard<sync::SpinLock> lock(mu_);
+    StateTraceScope trace_scope(*this);
     if (poisoned_) return;
 
     // Fault I.c.4: terminates inside the monitor; the exit never happens.
@@ -379,6 +412,10 @@ std::vector<trace::EventRecord> HoareMonitor::history() const {
 
 trace::SchedulingState HoareMonitor::snapshot() const {
   std::lock_guard<sync::SpinLock> lock(mu_);
+  return snapshot_locked();
+}
+
+trace::SchedulingState HoareMonitor::snapshot_locked() const {
   trace::SchedulingState state;
   state.captured_at = now();
   for (const EqEntry& entry : entry_queue_) {

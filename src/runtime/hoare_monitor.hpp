@@ -135,6 +135,13 @@ class HoareMonitor : public EventSink {
   /// R# source for coordinator monitors (e.g. free buffer slots).
   void set_resource_gauge(std::function<std::int64_t()> gauge);
 
+  /// Record the scheduling state after *every* event (the paper's T=1
+  /// real-time mode), for FD-Rule validation.  Captures the current state
+  /// as the initial element when enabled, so state_trace().size() is the
+  /// number of events recorded since, plus one.
+  void enable_state_trace();
+  std::vector<trace::SchedulingState> state_trace() const;
+
   /// Release every parked waiter with kPoisoned (teardown after injected
   /// faults left threads blocked).
   void poison();
@@ -201,7 +208,13 @@ class HoareMonitor : public EventSink {
     std::uint64_t ticket = 0;     ///< Episode ticket of that oldest hold.
   };
 
+  /// T=1 capture, declared right after a primitive's lock_guard(mu_): as
+  /// the section closes (still under mu_) it pushes snapshot_locked() iff
+  /// tracing is on and the section recorded an event.
+  class StateTraceScope;
+
   util::TimeNs now() const { return clock_->now_ns(); }
+  trace::SchedulingState snapshot_locked() const;  // callers hold mu_
   trace::SymbolId proc_of(trace::Pid pid) const;  // callers hold mu_
   void record(const trace::EventRecord& event);
   /// Pop the first admittable entry waiter; nullptr when none.  mu_ held.
@@ -246,6 +259,8 @@ class HoareMonitor : public EventSink {
   std::function<std::int64_t()> resource_gauge_;
   bool track_resources_ = false;
   std::int64_t resources_ = -1;
+  bool state_trace_enabled_ = false;
+  std::vector<trace::SchedulingState> state_trace_;
   bool poisoned_ = false;
   /// Sticky recovery-poison state (recovery_poison()/unpoison()).
   bool recovery_poisoned_ = false;

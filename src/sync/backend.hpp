@@ -12,7 +12,6 @@
 // machinery deterministically from a seed.  See docs/deterministic-testing.md.
 #pragma once
 
-#include "sync/schedule_policy.hpp"
 #include "util/clock.hpp"
 
 #if defined(ROBMON_SYNC_BACKEND_SIM)

@@ -43,11 +43,15 @@
 #include <string>
 #include <vector>
 
-#include "sync/schedule_policy.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
 
 namespace robmon::sync {
+
+enum class SchedulePolicy {
+  kFifo,    ///< Round-robin over runnable fibers.
+  kRandom,  ///< Uniform random pick among runnable fibers (seeded).
+};
 
 class SimScheduler {
  public:

@@ -54,8 +54,6 @@ std::uint64_t EventLog::events_lost() const {
   return lost_.load(std::memory_order_relaxed);
 }
 
-void EventLog::set_retention(bool retain) { retain_history_ = retain; }
-
 std::vector<EventRecord> EventLog::history() const {
   if (!retain_history_) return {};
   std::vector<EventRecord> out;

@@ -7,10 +7,9 @@
 //
 // Owner-serialized contract: the log takes no lock of its own.  Its owner
 // already serializes every operation that records a scheduling event —
-// HoareMonitor appends under its internal lock, SyntheticMonitor under its
-// apply lock, and the simulator is cooperatively scheduled — so append(),
-// drain(), history() and set_retention() must all run under that same
-// lock.  Only the three counters (pending(), total_appended(),
+// HoareMonitor appends under its internal lock and SyntheticMonitor under
+// its apply lock — so append(), drain() and history() must all run under
+// that same lock.  Only the three counters (pending(), total_appended(),
 // events_lost()) may be read from any thread: they are relaxed atomics
 // written by the owner, so a concurrent reader sees a recent value, not a
 // torn one.
@@ -80,10 +79,9 @@ class EventLog {
   /// Total events dropped because `capacity` events were already pending.
   std::uint64_t events_lost() const;
 
-  /// When retention is on, every drained segment is also archived (and
-  /// history() additionally includes still-pending events).
-  /// Owner-serialized.
-  void set_retention(bool retain);
+  /// When retention is on (Options::retain_history), every drained segment
+  /// is also archived, and history() additionally includes still-pending
+  /// events.
   bool retention() const { return retain_history_; }
 
   /// Full archive plus pending events in sequence order (requires
@@ -92,7 +90,7 @@ class EventLog {
 
  private:
   const std::size_t capacity_;
-  bool retain_history_;
+  const bool retain_history_;
   std::uint64_t next_seq_ = 0;
   std::vector<EventRecord> buffer_;
   std::vector<EventRecord> archive_;

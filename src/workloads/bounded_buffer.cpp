@@ -1,12 +1,18 @@
 #include "workloads/bounded_buffer.hpp"
 
+#include "sync/backend.hpp"
+
 namespace robmon::wl {
 
 using core::FaultKind;
 
 BoundedBuffer::BoundedBuffer(rt::RobustMonitor& monitor, std::size_t capacity,
-                             inject::InjectionController& injection)
-    : monitor_(&monitor), capacity_(capacity), injection_(&injection) {
+                             inject::InjectionController& injection,
+                             util::TimeNs in_monitor_ns)
+    : monitor_(&monitor),
+      capacity_(capacity),
+      injection_(&injection),
+      in_monitor_ns_(in_monitor_ns) {
   // R# (free slots) is owned by the monitor and adjusted atomically with
   // each Send/Receive completion event; a gauge sampled at snapshot time
   // would race with procedure bodies under real threads.
@@ -26,9 +32,16 @@ std::int64_t BoundedBuffer::free_slots() const {
 bool BoundedBuffer::is_full() const { return size() >= capacity_; }
 bool BoundedBuffer::is_empty() const { return size() == 0; }
 
+rt::Status BoundedBuffer::enter(trace::Pid pid, const char* procedure) {
+  const rt::Status status = monitor_->enter(pid, procedure);
+  if (status == rt::Status::kOk && in_monitor_ns_ > 0) {
+    sync::backend_sleep_for(in_monitor_ns_);
+  }
+  return status;
+}
+
 rt::Status BoundedBuffer::send(trace::Pid pid, std::int64_t item) {
-  if (const auto status = monitor_->enter(pid, "Send");
-      status != rt::Status::kOk) {
+  if (const auto status = enter(pid, "Send"); status != rt::Status::kOk) {
     return status;
   }
 
@@ -56,8 +69,7 @@ rt::Status BoundedBuffer::send(trace::Pid pid, std::int64_t item) {
 }
 
 rt::Status BoundedBuffer::receive(trace::Pid pid, std::int64_t* out) {
-  if (const auto status = monitor_->enter(pid, "Receive");
-      status != rt::Status::kOk) {
+  if (const auto status = enter(pid, "Receive"); status != rt::Status::kOk) {
     return status;
   }
 

@@ -28,10 +28,14 @@ namespace robmon::wl {
 class BoundedBuffer {
  public:
   /// `monitor` must be a coordinator-type RobustMonitor whose rmax equals
-  /// `capacity`.  Wires the monitor's resource gauge to the free-slot count.
+  /// `capacity`.  The monitor tracks the free-slot count as R#.
+  /// `in_monitor_ns` is a dwell each procedure sleeps right after Enter,
+  /// modelling the critical section's duration so that entries contend
+  /// (without it a deterministic schedule rarely queues two entries).
   BoundedBuffer(rt::RobustMonitor& monitor, std::size_t capacity,
                 inject::InjectionController& injection =
-                    inject::NullInjection::instance());
+                    inject::NullInjection::instance(),
+                util::TimeNs in_monitor_ns = 0);
 
   /// Monitor procedure "Send".
   rt::Status send(trace::Pid pid, std::int64_t item);
@@ -46,10 +50,13 @@ class BoundedBuffer {
  private:
   bool is_full() const;
   bool is_empty() const;
+  /// Enter `procedure`, then sleep the configured dwell.
+  rt::Status enter(trace::Pid pid, const char* procedure);
 
   rt::RobustMonitor* monitor_;
   std::size_t capacity_;
   inject::InjectionController* injection_;
+  util::TimeNs in_monitor_ns_;
 
   mutable std::mutex items_mu_;
   std::deque<std::int64_t> items_;

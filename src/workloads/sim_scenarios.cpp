@@ -1,237 +1,187 @@
 #include "workloads/sim_scenarios.hpp"
 
-#include <algorithm>
-#include <memory>
-
-#include "core/detector.hpp"
-#include "core/fd_rules.hpp"
-#include "core/monitor_spec.hpp"
+#include <stdexcept>
 
 namespace robmon::wl {
-
-using core::FaultKind;
-using core::MonitorType;
-
-sim::Op<> sim_send(sim::SimMonitor& monitor, SimBuffer& buffer,
-                   trace::Pid pid, std::int64_t item,
-                   inject::InjectionController& injection,
-                   util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Send");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  // II.a: delayed although not full / II.d: not delayed although full.
-  // Arming is conditioned on the state where the fault has an effect, so a
-  // one-shot injection is not wasted on a no-op opportunity.
-  const bool force_delay =
-      !buffer.full() && injection.fire(FaultKind::kSendDelayWrong, pid);
-  const bool skip_delay =
-      buffer.full() && injection.fire(FaultKind::kSendExceedsCapacity, pid);
-  if (force_delay || (buffer.full() && !skip_delay)) {
-    co_await monitor.wait("full");
-  }
-  buffer.items.push_back(item);
-  monitor.signal_exit("empty");
-}
-
-sim::Op<> sim_receive(sim::SimMonitor& monitor, SimBuffer& buffer,
-                      trace::Pid pid, inject::InjectionController& injection,
-                      util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Receive");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  // II.b: delayed although not empty / II.c: fabricate instead of waiting.
-  const bool force_delay =
-      !buffer.empty() && injection.fire(FaultKind::kReceiveDelayWrong, pid);
-  const bool fabricate =
-      buffer.empty() && injection.fire(FaultKind::kReceiveExceedsSend, pid);
-  if (force_delay || (buffer.empty() && !fabricate)) {
-    co_await monitor.wait("empty");
-  }
-  if (!buffer.items.empty()) {
-    buffer.items.pop_front();
-  }
-  monitor.signal_exit("full");
-}
-
-sim::Process sim_producer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns) {
-  if (initial_delay_ns > 0) co_await scheduler.delay(initial_delay_ns);
-  for (int i = 0; i < operations; ++i) {
-    co_await sim_send(monitor, buffer, pid, i, injection, in_monitor_ns);
-    if (think_ns > 0) co_await scheduler.delay(think_ns);
-  }
-}
-
-sim::Process sim_consumer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns) {
-  if (initial_delay_ns > 0) co_await scheduler.delay(initial_delay_ns);
-  for (int i = 0; i < operations; ++i) {
-    co_await sim_receive(monitor, buffer, pid, injection, in_monitor_ns);
-    if (think_ns > 0) co_await scheduler.delay(think_ns);
-  }
-}
-
-namespace {
-
-sim::Op<> sim_acquire(sim::SimMonitor& monitor, std::int64_t& units,
-                      util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Acquire");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  if (units == 0) co_await monitor.wait("available");
-  --units;
-  monitor.exit();
-}
-
-sim::Op<> sim_release(sim::SimMonitor& monitor, std::int64_t& units,
-                      util::TimeNs in_monitor_ns) {
-  co_await monitor.enter("Release");
-  if (in_monitor_ns > 0) {
-    co_await monitor.scheduler().delay(in_monitor_ns);
-  }
-  ++units;
-  monitor.signal_exit("available");
-}
-
-}  // namespace
-
-sim::Process sim_allocator_client(sim::Scheduler& scheduler,
-                                  sim::SimMonitor& monitor,
-                                  std::int64_t& units, trace::Pid pid,
-                                  int iterations,
-                                  inject::InjectionController& injection,
-                                  util::TimeNs hold_ns,
-                                  util::TimeNs think_ns) {
-  constexpr util::TimeNs kInMonitorNs = 50'000;
-  for (int i = 0; i < iterations; ++i) {
-    // III.a: release a resource that was never acquired.
-    if (injection.fire(FaultKind::kReleaseBeforeAcquire, pid)) {
-      co_await sim_release(monitor, units, kInMonitorNs);
-    }
-    co_await sim_acquire(monitor, units, kInMonitorNs);
-    // III.c: acquire again while already holding.
-    if (injection.fire(FaultKind::kDoubleAcquireDeadlock, pid)) {
-      co_await sim_acquire(monitor, units, kInMonitorNs);
-    }
-    if (hold_ns > 0) co_await scheduler.delay(hold_ns);
-    // III.b: never release.
-    if (!injection.fire(FaultKind::kResourceNeverReleased, pid)) {
-      co_await sim_release(monitor, units, kInMonitorNs);
-    }
-    if (think_ns > 0) co_await scheduler.delay(think_ns);
-  }
-}
-
-namespace {
-
-struct TrialRig {
-  sim::Scheduler scheduler;
-  core::MonitorSpec spec;
-  std::unique_ptr<sim::SimMonitor> monitor;
-  std::unique_ptr<core::CollectingSink> sink;
-  std::unique_ptr<core::Detector> detector;
-  std::int64_t allocator_units = 0;
-  std::unique_ptr<SimBuffer> buffer;
-
-  TrialRig(MonitorType type, std::uint64_t seed,
-           const CoverageConfig& config,
-           inject::InjectionController& injection)
-      : scheduler(sim::Scheduler::Options{1000, sim::SchedulePolicy::kRandom,
-                                          seed}) {
-    if (type == MonitorType::kCommunicationCoordinator) {
-      spec = core::MonitorSpec::coordinator(
-          "cov-buffer", static_cast<std::int64_t>(config.buffer_capacity));
-    } else {
-      spec = core::MonitorSpec::allocator("cov-allocator");
-    }
-    spec.t_max = config.t_max;
-    spec.t_io = config.t_io;
-    spec.t_limit = config.t_limit;
-    spec.check_period = config.check_period;
-
-    monitor = std::make_unique<sim::SimMonitor>(spec, scheduler, injection);
-    sink = std::make_unique<core::CollectingSink>();
-    detector = std::make_unique<core::Detector>(spec, monitor->symbols(),
-                                                *sink);
-
-    if (type == MonitorType::kCommunicationCoordinator) {
-      buffer = std::make_unique<SimBuffer>();
-      buffer->capacity = config.buffer_capacity;
-      monitor->set_resource_gauge(
-          [state = buffer.get()] { return state->free_slots(); });
-    } else {
-      allocator_units = config.allocator_units;
-      monitor->set_resource_gauge([this] { return allocator_units; });
-    }
-    detector->initialize(monitor->snapshot());
-  }
-
-  void spawn_workload(MonitorType type, const CoverageConfig& config,
-                      inject::InjectionController& injection) {
-    if (type == MonitorType::kCommunicationCoordinator) {
-      const std::int64_t total =
-          static_cast<std::int64_t>(config.producers) * config.operations;
-      const std::int64_t per_consumer = total / config.consumers;
-      const std::int64_t remainder = total % config.consumers;
-      for (int p = 0; p < config.producers; ++p) {
-        scheduler.spawn(
-            p, sim_producer(scheduler, *monitor, *buffer, p,
-                            config.operations, injection,
-                            config.in_monitor_ns, config.producer_think_ns,
-                            config.producer_initial_delay_ns));
-      }
-      for (int c = 0; c < config.consumers; ++c) {
-        const auto quota =
-            static_cast<int>(per_consumer + (c == 0 ? remainder : 0));
-        scheduler.spawn(
-            100 + c, sim_consumer(scheduler, *monitor, *buffer, 100 + c,
-                                  quota, injection, config.in_monitor_ns,
-                                  config.consumer_think_ns));
-      }
-    } else {
-      const int clients = config.producers + config.consumers;
-      for (int w = 0; w < clients; ++w) {
-        scheduler.spawn(
-            w, sim_allocator_client(scheduler, *monitor, allocator_units, w,
-                                    config.operations / 2 + 1, injection,
-                                    config.producer_think_ns,
-                                    config.producer_think_ns));
-      }
-    }
-  }
-
-  void spawn_checker(const CoverageConfig& config) {
-    sim::CheckerOptions checker_options;
-    checker_options.max_checks = config.max_checks;
-    // Cover the longest timer horizon plus slack.
-    const util::TimeNs horizon =
-        std::max({spec.t_max, spec.t_io, spec.t_limit});
-    checker_options.min_checks =
-        static_cast<std::uint64_t>(horizon / spec.check_period) + 3;
-    // Harness tasks use pids below -1 (kNoPid is reserved).
-    scheduler.spawn(-100, sim::periodic_checker(scheduler, *monitor,
-                                                *detector, checker_options));
-  }
-};
-
-}  // namespace
 
 CoverageOutcome run_coverage_trial(core::FaultKind kind, std::uint64_t seed) {
   return run_coverage_trial(kind, seed, CoverageConfig{});
 }
 
+std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed) {
+  return run_fault_free_trial(type, seed, CoverageConfig{});
+}
+
+FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
+                           std::uint64_t seed) {
+  return run_fd_trial(kind, seed, CoverageConfig{});
+}
+
+}  // namespace robmon::wl
+
+#if !defined(ROBMON_SYNC_BACKEND_SIM)
+
+namespace robmon::wl {
 namespace {
 
-CoverageOutcome run_one_attempt(core::FaultKind kind, std::uint64_t seed,
+[[noreturn]] void require_sim_backend() {
+  throw std::logic_error(
+      "coverage trials require the SimBackend build "
+      "(link robmon_sim / compile with ROBMON_SYNC_BACKEND_SIM)");
+}
+
+}  // namespace
+
+CoverageOutcome run_coverage_trial(core::FaultKind, std::uint64_t,
+                                   const CoverageConfig&) {
+  require_sim_backend();
+}
+
+std::size_t run_fault_free_trial(core::MonitorType, std::uint64_t,
+                                 const CoverageConfig&) {
+  require_sim_backend();
+}
+
+FdTrialResult run_fd_trial(std::optional<core::FaultKind>, std::uint64_t,
+                           const CoverageConfig&) {
+  require_sim_backend();
+}
+
+}  // namespace robmon::wl
+
+#else  // ROBMON_SYNC_BACKEND_SIM
+
+#include <algorithm>
+#include <functional>
+#include <string>
+
+#include "core/fd_rules.hpp"
+#include "core/monitor_spec.hpp"
+#include "runtime/robust_monitor.hpp"
+#include "sync/backend.hpp"
+#include "sync/sim_backend.hpp"
+#include "workloads/allocator.hpp"
+#include "workloads/bounded_buffer.hpp"
+
+namespace robmon::wl {
+namespace {
+
+using core::FaultKind;
+using core::MonitorType;
+
+void vsleep(util::TimeNs delta) {
+  if (delta > 0) sync::backend_sleep_for(delta);
+}
+
+core::MonitorSpec trial_spec(MonitorType type, const CoverageConfig& config) {
+  core::MonitorSpec spec;
+  if (type == MonitorType::kCommunicationCoordinator) {
+    spec = core::MonitorSpec::coordinator(
+        "cov-buffer", static_cast<std::int64_t>(config.buffer_capacity));
+  } else {
+    spec = core::MonitorSpec::allocator("cov-allocator");
+  }
+  spec.t_max = config.t_max;
+  spec.t_io = config.t_io;
+  spec.t_limit = config.t_limit;
+  spec.check_period = config.check_period;
+  return spec;
+}
+
+/// Runs one trial on a fresh SimScheduler seeded with `seed`.  A driver
+/// fiber builds a RobustMonitor (with its private one-thread checker pool),
+/// spawns the clients, and sleeps one check period at a time: up to
+/// `max_checks` periods, or fewer once every client has finished and the
+/// longest timer horizon has been covered.  It then stops checking,
+/// poisons the monitor to release clients that an injected fault left
+/// parked, and joins them.  With `inspect` set, the monitor retains its
+/// history and records the T=1 state trace, and `inspect` sees the
+/// finished monitor before teardown.  Returns every report.
+std::vector<core::FaultReport> run_trial(
+    MonitorType type, std::uint64_t seed, const CoverageConfig& config,
+    inject::InjectionController& injection,
+    const std::function<void(rt::RobustMonitor&)>& inspect = {}) {
+  sync::SimScheduler sched({.seed = seed});  // kRandom, 1 us tick
+  core::CollectingSink sink;
+  sched.spawn([&] {
+    rt::RobustMonitor::Options options;
+    options.injection = &injection;
+    options.retain_trace = static_cast<bool>(inspect);
+    rt::RobustMonitor monitor(trial_spec(type, config), sink, options);
+    if (inspect) monitor.monitor().enable_state_trace();
+
+    std::optional<BoundedBuffer> buffer;
+    std::optional<ResourceAllocator> allocator;
+    int running = 0;
+    std::vector<sync::SimThread> clients;
+    const auto spawn_client = [&](std::function<void()> body) {
+      ++running;
+      clients.emplace_back([&running, body = std::move(body)] {
+        body();
+        --running;
+      });
+    };
+
+    if (type == MonitorType::kCommunicationCoordinator) {
+      buffer.emplace(monitor, config.buffer_capacity, injection,
+                     config.in_monitor_ns);
+      for (int p = 0; p < config.producers; ++p) {
+        spawn_client([&, p] {
+          vsleep(config.producer_initial_delay_ns);
+          for (int i = 0; i < config.operations; ++i) {
+            if (buffer->send(p, i) != rt::Status::kOk) return;
+            vsleep(config.producer_think_ns);
+          }
+        });
+      }
+      const int total = config.producers * config.operations;
+      for (int c = 0; c < config.consumers; ++c) {
+        const int quota = total / config.consumers +
+                          (c == 0 ? total % config.consumers : 0);
+        spawn_client([&, c, quota] {
+          std::int64_t item = 0;
+          for (int i = 0; i < quota; ++i) {
+            if (buffer->receive(100 + c, &item) != rt::Status::kOk) return;
+            vsleep(config.consumer_think_ns);
+          }
+        });
+      }
+    } else {
+      allocator.emplace(monitor, config.allocator_units);
+      const ClientOptions client{.iterations = config.operations / 2 + 1,
+                                 .hold_ns = config.producer_think_ns,
+                                 .think_ns = config.producer_think_ns};
+      for (int w = 0; w < config.producers + config.consumers; ++w) {
+        spawn_client([&, w] {
+          run_allocator_client(*allocator, w, injection, client, vsleep);
+        });
+      }
+    }
+
+    monitor.start_checking();
+    const util::TimeNs horizon =
+        std::max({config.t_max, config.t_io, config.t_limit});
+    const auto min_checks =
+        static_cast<std::uint64_t>(horizon / config.check_period) + 3;
+    for (std::uint64_t check = 0; check < config.max_checks; ++check) {
+      sync::backend_sleep_for(config.check_period);
+      if (running == 0 && check + 1 >= min_checks) break;
+    }
+    monitor.stop_checking();
+    monitor.poison();
+    for (sync::SimThread& client : clients) client.join();
+    if (inspect) inspect(monitor);
+  });
+  const auto stop = sched.run(config.max_steps);
+  sched.rethrow_any_failure();
+  if (stop != sync::SimScheduler::StopReason::kAllDone) {
+    throw std::runtime_error("coverage trial did not finish under seed " +
+                             std::to_string(seed));
+  }
+  return sink.reports();
+}
+
+CoverageOutcome run_one_attempt(FaultKind kind, std::uint64_t seed,
                                 const CoverageConfig& config,
                                 std::int64_t nth) {
   const inject::CatalogEntry& entry = inject::catalog_entry(kind);
@@ -242,17 +192,11 @@ CoverageOutcome run_one_attempt(core::FaultKind kind, std::uint64_t seed,
   plan.sticky = inject::is_sticky_fault(kind);
   inject::ScriptedInjection injection(plan);
 
-  TrialRig rig(entry.exercised_on, seed, config, injection);
-  rig.spawn_workload(entry.exercised_on, config, injection);
-  rig.spawn_checker(config);
-  rig.scheduler.run(config.max_steps);
-  rig.scheduler.rethrow_any_failure();
-
   CoverageOutcome outcome;
   outcome.kind = kind;
+  outcome.reports = run_trial(entry.exercised_on, seed, config, injection);
   outcome.injected = injection.fired();
   outcome.injection_attempt = nth;
-  outcome.reports = rig.sink->reports();
   outcome.total_reports = outcome.reports.size();
   outcome.detected = inject::detected(entry, outcome.reports);
   if (outcome.detected) {
@@ -267,7 +211,7 @@ CoverageOutcome run_one_attempt(core::FaultKind kind, std::uint64_t seed,
       }
     }
     outcome.detection_check = static_cast<std::uint64_t>(
-        (first + rig.spec.check_period - 1) / rig.spec.check_period);
+        (first + config.check_period - 1) / config.check_period);
   }
   return outcome;
 }
@@ -287,24 +231,10 @@ CoverageOutcome run_coverage_trial(core::FaultKind kind, std::uint64_t seed,
   return outcome;
 }
 
-std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed) {
-  return run_fault_free_trial(type, seed, CoverageConfig{});
-}
-
 std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed,
                                  const CoverageConfig& config) {
-  TrialRig rig(type, seed, config, inject::NullInjection::instance());
-  rig.spawn_workload(type, config, inject::NullInjection::instance());
-  rig.spawn_checker(config);
-  rig.scheduler.run(config.max_steps);
-  rig.scheduler.rethrow_any_failure();
-  return rig.sink->count();
-}
-
-
-FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
-                           std::uint64_t seed) {
-  return run_fd_trial(kind, seed, CoverageConfig{});
+  return run_trial(type, seed, config, inject::NullInjection::instance())
+      .size();
 }
 
 FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
@@ -321,24 +251,19 @@ FdTrialResult run_fd_trial(std::optional<core::FaultKind> kind,
       kind ? static_cast<inject::InjectionController&>(scripted)
            : inject::NullInjection::instance();
 
-  TrialRig rig(type, seed, config, injection);
-  rig.monitor->log().set_retention(true);
-  rig.monitor->enable_state_trace();
-  rig.spawn_workload(type, config, injection);
-  rig.spawn_checker(config);
-  rig.scheduler.run(config.max_steps);
-  rig.scheduler.rethrow_any_failure();
-
   FdTrialResult result;
+  const auto validate = [&](rt::RobustMonitor& monitor) {
+    result.history = monitor.monitor().history();
+    result.event_count = result.history.size();
+    result.fd_reports = core::validate_fd_rules(
+        monitor.spec(), monitor.symbols(), result.history,
+        monitor.monitor().state_trace(), sync::backend_now());
+  };
+  result.st_reports = run_trial(type, seed, config, injection, validate);
   result.injected = kind ? scripted.fired() : false;
-  result.st_reports = rig.sink->reports();
-
-  const auto events = rig.monitor->log().history();
-  result.event_count = events.size();
-  result.fd_reports = core::validate_fd_rules(
-      rig.spec, rig.monitor->symbols(), events, rig.monitor->state_trace(),
-      rig.scheduler.now());
   return result;
 }
 
 }  // namespace robmon::wl
+
+#endif  // ROBMON_SYNC_BACKEND_SIM

@@ -1,75 +1,28 @@
-// Deterministic coverage scenarios on the simulator — the harness behind
-// the paper's robustness evaluation ("Faults of different kinds ... are
-// injected randomly ... The results show that all injected faults are
-// detected").
+// Deterministic coverage scenarios — the harness behind the paper's
+// robustness evaluation ("Faults of different kinds ... are injected
+// randomly ... The results show that all injected faults are detected").
 //
-// run_coverage_trial(kind, seed) builds the workload the catalog prescribes
+// run_coverage_trial(kind, seed) runs the workload the catalog prescribes
 // for the fault class (bounded-buffer producer/consumer on a coordinator
-// monitor, or acquire/release clients on an allocator monitor), injects one
-// fault of that class via ScriptedInjection, runs the periodic checker over
-// virtual time, and reports whether the detector flagged it with one of the
-// rules the catalog expects.
+// monitor, or acquire/release clients on an allocator monitor) on the real
+// rt::RobustMonitor and its checking engine, under one sync::SimScheduler
+// seeded with `seed`.  It injects one fault of that class via
+// ScriptedInjection and reports whether the detector flagged it with one of
+// the rules the catalog expects.
+//
+// Every trial needs the SimBackend build (link robmon_sim); in the real
+// build each entry point throws std::logic_error.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "core/fault.hpp"
 #include "inject/catalog.hpp"
-#include "inject/injection.hpp"
-#include "sim/scheduler.hpp"
-#include "sim/sim_monitor.hpp"
+#include "util/clock.hpp"
 
 namespace robmon::wl {
-
-/// Shared bounded-buffer state for the simulated coordinator workload.
-struct SimBuffer {
-  std::size_t capacity = 2;
-  std::deque<std::int64_t> items;
-
-  bool full() const { return items.size() >= capacity; }
-  bool empty() const { return items.empty(); }
-  std::int64_t free_slots() const {
-    return static_cast<std::int64_t>(capacity) -
-           static_cast<std::int64_t>(items.size());
-  }
-};
-
-/// Monitor procedure "Send" (simulated).  `in_monitor_ns` models the
-/// critical-section duration so that entries contend realistically.
-sim::Op<> sim_send(sim::SimMonitor& monitor, SimBuffer& buffer,
-                   trace::Pid pid, std::int64_t item,
-                   inject::InjectionController& injection,
-                   util::TimeNs in_monitor_ns);
-
-/// Monitor procedure "Receive" (simulated).
-sim::Op<> sim_receive(sim::SimMonitor& monitor, SimBuffer& buffer,
-                      trace::Pid pid, inject::InjectionController& injection,
-                      util::TimeNs in_monitor_ns);
-
-/// Producer / consumer processes for the coordinator workload.
-sim::Process sim_producer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns = 0);
-sim::Process sim_consumer(sim::Scheduler& scheduler, sim::SimMonitor& monitor,
-                          SimBuffer& buffer, trace::Pid pid, int operations,
-                          inject::InjectionController& injection,
-                          util::TimeNs in_monitor_ns, util::TimeNs think_ns,
-                          util::TimeNs initial_delay_ns = 0);
-
-/// Allocator workload: Acquire/Release of `units` with Level-III client
-/// faults supplied by `injection`.
-sim::Process sim_allocator_client(sim::Scheduler& scheduler,
-                                  sim::SimMonitor& monitor,
-                                  std::int64_t& units, trace::Pid pid,
-                                  int iterations,
-                                  inject::InjectionController& injection,
-                                  util::TimeNs hold_ns,
-                                  util::TimeNs think_ns);
 
 struct CoverageOutcome {
   core::FaultKind kind;
@@ -97,6 +50,7 @@ struct CoverageConfig {
   int operations = 12;            ///< Per process.
   std::size_t buffer_capacity = 2;
   std::int64_t allocator_units = 2;
+  /// BoundedBuffer dwell after Enter, so that entries contend.
   util::TimeNs in_monitor_ns = 200'000;        // 200 us critical section
   util::TimeNs producer_think_ns = 50'000;     // producers burst
   util::TimeNs consumer_think_ns = 400'000;    // consumers lag -> full phases
@@ -109,7 +63,7 @@ struct CoverageConfig {
   util::TimeNs t_limit = 20 * util::kMillisecond;
   util::TimeNs check_period = 15 * util::kMillisecond;  // T > Tmax (paper)
   std::uint64_t max_checks = 40;
-  std::uint64_t max_steps = 4'000'000;
+  std::uint64_t max_steps = 4'000'000;  ///< SimScheduler resume-step budget.
 };
 
 /// Inject one fault of `kind` into the prescribed workload under schedule
@@ -131,6 +85,7 @@ std::size_t run_fault_free_trial(core::MonitorType type, std::uint64_t seed,
 struct FdTrialResult {
   bool injected = false;
   std::size_t event_count = 0;
+  std::vector<trace::EventRecord> history;  ///< event_count events.
   std::vector<core::FaultReport> st_reports;
   std::vector<core::FaultReport> fd_reports;
 };
