@@ -1,8 +1,6 @@
 #include "interpose/runtime.hpp"
 
 #include <pthread.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -15,9 +13,6 @@
 namespace robmon::interpose {
 
 namespace {
-
-thread_local int t_depth = 0;
-thread_local bool t_internal = false;
 
 std::atomic<Runtime*> g_runtime{nullptr};
 std::mutex g_init_mu;
@@ -60,28 +55,12 @@ RuntimeConfig RuntimeConfig::from_env() {
       env.i64("WAITFOR_MS", 250, 1, 60000) * util::kMillisecond;
   config.lockorder_period =
       env.i64("LOCKORDER_MS", 500, 1, 60000) * util::kMillisecond;
-  config.ring_capacity = static_cast<std::size_t>(
-      env.i64("RING", static_cast<std::int64_t>(config.ring_capacity), 2,
-              1 << 20));
   config.max_monitors = static_cast<std::size_t>(
       env.i64("MAX_MONITORS", static_cast<std::int64_t>(config.max_monitors),
               1, 1 << 20));
   config.verbose = env.boolean("LOG", config.verbose);
   if (!env.ok()) config.config_error = env.error_text();
   return config;
-}
-
-ReentryGuard::ReentryGuard() { ++t_depth; }
-ReentryGuard::~ReentryGuard() { --t_depth; }
-bool ReentryGuard::should_adapt() { return t_depth == 0 && !t_internal; }
-int ReentryGuard::depth() { return t_depth; }
-bool ReentryGuard::internal() { return t_internal; }
-void ReentryGuard::mark_internal() { t_internal = true; }
-
-Tid self_tid() {
-  thread_local Tid tid = 0;
-  if (tid == 0) tid = static_cast<Tid>(::syscall(SYS_gettid));
-  return tid;
 }
 
 void StderrSink::report(const core::FaultReport& fault) {
@@ -150,6 +129,7 @@ Runtime* Runtime::instance_if_built() {
 }
 
 void Runtime::reset_after_fork() {
+  detail::t_tid = 0;
   Runtime* old = g_runtime.exchange(nullptr, std::memory_order_acq_rel);
   if (old == nullptr) return;
   // Intrusive push — no allocation in the (fork-constrained) child — and
@@ -170,7 +150,6 @@ SyntheticMonitor* Runtime::create_monitor(SyntheticMonitor::Kind kind) {
       (is_mutex ? "mutex-" : "cond-") + std::to_string(index);
 
   SyntheticMonitor::Config monitor_config;
-  monitor_config.ring_capacity = config_.ring_capacity;
   monitor_config.check_period = config_.check_period;
   monitor_config.retain_history = !config_.trace_path.empty();
   auto* monitor =

@@ -17,16 +17,23 @@
 // host program.  See docs/interposition.md for the variable reference.
 //
 // No-self-deadlock argument (the shim's core obligation):
-//   * application hot path: one lock-free ring push per adapted op —
-//     never a robmon lock (SyntheticMonitor's contract);
+//   * application hot path: an uncontended lock/unlock updates the
+//     synthetic monitor's owner state in place under the host mutex the
+//     thread already holds — no robmon lock (SyntheticMonitor's contract);
+//   * blocking, parking and cond ops (and every op while ROBMON_TRACE
+//     records) take the monitor's queue_mu_, a leaf lock: nothing is
+//     acquired while it is held, least of all an application lock;
 //   * every robmon-internal pthread operation (registry construction,
 //     pool scheduling, checker work) runs under the re-entrancy guard or
 //     on an internal-marked thread, so it passes straight through to libc
 //     and can never re-enter the adapter;
-//   * robmon locks (apply_mu_, the pool's mutexes) are never held while
+//   * robmon locks (queue_mu_, the pool's mutexes) are never held while
 //     acquiring an application lock, so no lock-order edge from robmon
 //     into the application exists.
 #pragma once
+
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -66,8 +73,6 @@ struct RuntimeConfig {
   util::TimeNs waitfor_period = 250 * util::kMillisecond;
   /// ROBMON_LOCKORDER_MS: lock-order prediction checkpoint cadence.
   util::TimeNs lockorder_period = 500 * util::kMillisecond;
-  /// ROBMON_RING: per-monitor pending-op ring capacity.
-  std::size_t ring_capacity = 1024;
   /// ROBMON_MAX_MONITORS: registry capacity; objects observed beyond it
   /// pass through unadapted (counted, reported in the exit summary).
   std::size_t max_monitors = 4096;
@@ -82,6 +87,21 @@ struct RuntimeConfig {
   static RuntimeConfig from_env();
 };
 
+namespace detail {
+// Per-thread shim state.  constinit means no dynamic initialization, so
+// no TLS wrapper call; initial-exec means a fixed offset from the thread
+// pointer, no __tls_get_addr.  Initial-exec TLS must fit the static TLS
+// block reserved at program start, which is why the shim is loaded with
+// LD_PRELOAD and not dlopen()ed (docs/interposition.md).
+[[gnu::tls_model("initial-exec")]] inline constinit thread_local int
+    t_depth = 0;
+[[gnu::tls_model("initial-exec")]] inline constinit thread_local bool
+    t_internal = false;
+/// The cached kernel tid; 0 = not yet read (the fork child clears it).
+[[gnu::tls_model("initial-exec")]] inline constinit thread_local Tid t_tid =
+    0;
+}  // namespace detail
+
 /// Per-thread re-entrancy state for the interposition wrappers.  A wrapper
 /// adapts an operation only at depth 0 on a non-internal thread; while it
 /// runs (guard alive, depth > 0) every nested pthread call — from the
@@ -90,22 +110,29 @@ struct RuntimeConfig {
 /// for their whole lifetime by the pthread_create trampoline.
 class ReentryGuard {
  public:
-  ReentryGuard();
-  ~ReentryGuard();
+  ReentryGuard() { ++detail::t_depth; }
+  ~ReentryGuard() { --detail::t_depth; }
   ReentryGuard(const ReentryGuard&) = delete;
   ReentryGuard& operator=(const ReentryGuard&) = delete;
 
   /// True iff an adapted wrapper body may run on this thread right now.
-  static bool should_adapt();
-  static int depth();
-  static bool internal();
+  static bool should_adapt() {
+    return detail::t_depth == 0 && !detail::t_internal;
+  }
+  static int depth() { return detail::t_depth; }
+  static bool internal() { return detail::t_internal; }
   /// Mark the calling thread as robmon-internal (sticky).
-  static void mark_internal();
+  static void mark_internal() { detail::t_internal = true; }
 };
 
 /// The calling thread's kernel task id as a robmon::Tid (cached per
-/// thread).
-Tid self_tid();
+/// thread; Runtime::reset_after_fork clears the fork child's cache).
+inline Tid self_tid() {
+  if (detail::t_tid == 0) {
+    detail::t_tid = static_cast<Tid>(::syscall(SYS_gettid));
+  }
+  return detail::t_tid;
+}
 
 /// ReportSink that prints every detection to stderr as it happens and
 /// counts per rule — the shim's only output channel into an unmodified
@@ -147,10 +174,11 @@ class Runtime {
   /// The instance if one was ever built, else nullptr (atexit flush).
   static Runtime* instance_if_built();
 
-  /// pthread_atfork child handler: retire the parent's runtime — its
-  /// worker threads do not exist in the child — onto a reachable
-  /// graveyard (never freed: application threads may hold pointers into
-  /// it) and let the next intercepted operation build a fresh one.
+  /// pthread_atfork child handler: clear the forking thread's cached tid
+  /// (the child is a new task), retire the parent's runtime — its worker
+  /// threads do not exist in the child — onto a reachable graveyard
+  /// (never freed: application threads may hold pointers into it) and let
+  /// the next intercepted operation build a fresh one.
   static void reset_after_fork();
 
   /// The synthetic monitor shadowing `addr`, creating (and scheduling) it

@@ -1,9 +1,20 @@
 #include "interpose/synthetic_monitor.hpp"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 namespace robmon::interpose {
+
+namespace {
+
+/// Seqlock read attempts before snapshot() gives up on a consistent owner
+/// read and reports none (an under-report).  A writer's critical section
+/// is a handful of stores, so only a writer preempted mid-write — or a
+/// host racing pthread_mutex_destroy against a holder — gets this far.
+constexpr int kOwnerReadAttempts = 1024;
+
+}  // namespace
 
 SyntheticMonitor::SyntheticMonitor(std::string name, Kind kind,
                                    const util::Clock& clock,
@@ -11,8 +22,8 @@ SyntheticMonitor::SyntheticMonitor(std::string name, Kind kind,
     : kind_(kind),
       spec_(core::MonitorSpec::manager(std::move(name))),
       clock_(&clock),
-      log_(trace::EventLog::Options{.retain_history = config.retain_history}),
-      ring_(config.ring_capacity) {
+      recording_(config.retain_history),
+      log_(trace::EventLog::Options{.retain_history = config.retain_history}) {
   spec_.check_period = config.check_period;
   proc_lock_ = symbols_.intern("lock");
   proc_wait_ = symbols_.intern("wait");
@@ -20,157 +31,191 @@ SyntheticMonitor::SyntheticMonitor(std::string name, Kind kind,
   cond_sym_ = symbols_.intern("cond");
 }
 
-void SyntheticMonitor::lock_blocked(Tid tid) {
-  push(OpKind::kLockBlocked, tid);
+// --- Owner state (single writer: the host mutex's holder). -------------------
+
+void SyntheticMonitor::write_owner(const Owner& owner) {
+  // The release stores keep every field store after the odd version and
+  // before the even one, so a reader that sees any new field value also
+  // sees the version move (Boehm, "Can seqlocks get along with programming
+  // language memory models?", without standalone fences).
+  const std::uint64_t version =
+      owner_version_.load(std::memory_order_relaxed);
+  owner_version_.store(version + 1, std::memory_order_relaxed);
+  owner_.store(owner.tid, std::memory_order_release);
+  owner_depth_.store(owner.depth, std::memory_order_release);
+  owner_since_.store(owner.since, std::memory_order_release);
+  owner_ticket_.store(owner.ticket, std::memory_order_release);
+  owner_version_.store(version + 2, std::memory_order_release);
 }
 
-void SyntheticMonitor::lock_acquired(Tid tid) {
-  push(OpKind::kLockAcquired, tid);
-}
-
-void SyntheticMonitor::lock_cancelled(Tid tid) {
-  push(OpKind::kLockCancelled, tid);
-}
-
-void SyntheticMonitor::unlocked(Tid tid) { push(OpKind::kUnlocked, tid); }
-
-void SyntheticMonitor::cond_parked(Tid tid) { push(OpKind::kCondParked, tid); }
-
-void SyntheticMonitor::cond_unparked(Tid tid) {
-  push(OpKind::kCondUnparked, tid);
-}
-
-void SyntheticMonitor::cond_signalled(Tid tid, bool broadcast) {
-  push(OpKind::kCondSignalled, tid, broadcast);
-}
-
-void SyntheticMonitor::reset() { push(OpKind::kReset, kNoTid); }
-
-void SyntheticMonitor::push(OpKind kind, Tid tid, bool flag) {
-  const Op op{kind, tid, clock_->now_ns(), flag};
-  if (ring_.try_push(op)) return;
-  // Ring full (the pool's drain cadence fell behind a burst): apply the
-  // backlog plus this op inline.  The producer pays one bounded mutex
-  // acquisition — apply_mu_ is only ever held for short folds, never
-  // across an application lock — and nothing is dropped.
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  apply_pending_locked();
-  apply_locked(op);
-  backpressure_syncs_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void SyntheticMonitor::apply_pending_locked() const {
-  ring_.consume([this](const Op& op) { apply_locked(op); });
-}
-
-void SyntheticMonitor::erase_entry_wait(Tid tid) const {
-  const auto it = std::find_if(
-      entry_queue_.begin(), entry_queue_.end(),
-      [tid](const trace::QueueEntry& entry) { return entry.pid == tid; });
-  if (it != entry_queue_.end()) entry_queue_.erase(it);
-}
-
-void SyntheticMonitor::record(const trace::EventRecord& event) const {
-  if (log_.retention()) log_.append(event);
-}
-
-void SyntheticMonitor::apply_locked(const Op& op) const {
-  switch (op.kind) {
-    case OpKind::kLockBlocked:
-      entry_queue_.push_back({op.tid, proc_lock_, op.time, ++next_ticket_});
-      record(trace::EventRecord::enter(op.tid, proc_lock_, false, op.time));
-      break;
-    case OpKind::kLockAcquired: {
-      const std::size_t queued = entry_queue_.size();
-      erase_entry_wait(op.tid);
-      if (owner_ == op.tid) {
-        ++owner_depth_;  // Recursive re-acquisition.
-      } else {
-        owner_ = op.tid;
-        owner_depth_ = 1;
-        owner_since_ = op.time;
-        owner_ticket_ = ++next_ticket_;
+SyntheticMonitor::Owner SyntheticMonitor::read_owner() const {
+  for (int attempt = 0; attempt < kOwnerReadAttempts; ++attempt) {
+    const std::uint64_t before =
+        owner_version_.load(std::memory_order_acquire);
+    if ((before & 1) == 0) {
+      const Owner owner{owner_.load(std::memory_order_acquire),
+                        owner_depth_.load(std::memory_order_acquire),
+                        owner_since_.load(std::memory_order_acquire),
+                        owner_ticket_.load(std::memory_order_acquire)};
+      if (owner_version_.load(std::memory_order_relaxed) == before) {
+        return owner;
       }
-      // Reduced recording model: a blocked request was recorded at block
-      // time and its resume is implied; only a fast-path acquire records
-      // a fresh (immediately admitted) Enter.
-      if (entry_queue_.size() == queued) {
-        record(trace::EventRecord::enter(op.tid, proc_lock_, true, op.time));
-      }
-      break;
     }
-    case OpKind::kLockCancelled:
-      erase_entry_wait(op.tid);
-      break;
-    case OpKind::kUnlocked:
-      // Guarded: an unlock from a thread the adapter never saw acquire
-      // (pthread_mutex_timedlock is unobserved) is a no-op.
-      if (owner_ == op.tid) {
-        if (--owner_depth_ == 0) {
-          owner_ = kNoTid;
-          owner_since_ = 0;
-          owner_ticket_ = 0;
-          record(trace::EventRecord::signal_exit(
-              op.tid, proc_lock_, trace::kNoSymbol, !entry_queue_.empty(),
-              op.time));
-        }
-      }
-      break;
-    case OpKind::kCondParked:
-      cond_queue_.push_back({op.tid, proc_wait_, op.time, ++next_ticket_});
-      record(trace::EventRecord::wait(op.tid, proc_wait_, cond_sym_, op.time));
-      break;
-    case OpKind::kCondUnparked: {
-      const auto it = std::find_if(
-          cond_queue_.begin(), cond_queue_.end(),
-          [&op](const trace::QueueEntry& entry) { return entry.pid == op.tid; });
-      if (it != cond_queue_.end()) cond_queue_.erase(it);
-      break;
-    }
-    case OpKind::kCondSignalled:
-      record(trace::EventRecord::signal_exit(
-          op.tid, proc_signal_, cond_sym_, !cond_queue_.empty(), op.time));
-      break;
-    case OpKind::kReset:
-      entry_queue_.clear();
-      cond_queue_.clear();
-      owner_ = kNoTid;
-      owner_depth_ = 0;
-      owner_since_ = 0;
-      owner_ticket_ = 0;
-      break;
+    std::this_thread::yield();
+  }
+  return {};
+}
+
+void SyntheticMonitor::acquire_owner(Tid tid, util::TimeNs now) {
+  // Relaxed reads of fields only this thread (the holder) writes, or that
+  // the previous holder wrote before releasing the host mutex.
+  if (owner_.load(std::memory_order_relaxed) == tid) {
+    // Recursive re-acquisition.
+    write_owner({tid, owner_depth_.load(std::memory_order_relaxed) + 1,
+                 owner_since_.load(std::memory_order_relaxed),
+                 owner_ticket_.load(std::memory_order_relaxed)});
+  } else {
+    write_owner({tid, 1, now, new_ticket()});
   }
 }
 
+bool SyntheticMonitor::release_owner(Tid tid) {
+  // Guarded: an unlock from a thread the adapter never saw acquire
+  // (pthread_mutex_timedlock is unobserved) is a read-only no-op.
+  if (owner_.load(std::memory_order_relaxed) != tid) return false;
+  const std::int64_t depth = owner_depth_.load(std::memory_order_relaxed);
+  if (depth > 1) {
+    write_owner({tid, depth - 1, owner_since_.load(std::memory_order_relaxed),
+                 owner_ticket_.load(std::memory_order_relaxed)});
+    return false;
+  }
+  write_owner({});
+  return true;
+}
+
+// --- Queues and log (queue_mu_). ---------------------------------------------
+
+void SyntheticMonitor::erase_entry(std::vector<trace::QueueEntry>& queue,
+                                   Tid tid) {
+  const auto it = std::find_if(
+      queue.begin(), queue.end(),
+      [tid](const trace::QueueEntry& entry) { return entry.pid == tid; });
+  if (it != queue.end()) queue.erase(it);
+}
+
+void SyntheticMonitor::record(const trace::EventRecord& event) {
+  if (recording_) log_.append(event);
+}
+
+// --- Producer surface. -------------------------------------------------------
+
+void SyntheticMonitor::lock_blocked(Tid tid) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  const util::TimeNs now = clock_->now_ns();
+  entry_queue_.push_back({tid, proc_lock_, now, new_ticket()});
+  entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
+  record(trace::EventRecord::enter(tid, proc_lock_, false, now));
+}
+
+void SyntheticMonitor::lock_acquired(Tid tid) {
+  // Only this thread's own lock_blocked can have queued it, and that store
+  // precedes this load in program order: a zero means no entry to erase.
+  if (!recording_ && entry_waiters_.load(std::memory_order_relaxed) == 0) {
+    acquire_owner(tid, clock_->now_ns());
+    return;
+  }
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  const util::TimeNs now = clock_->now_ns();
+  const std::size_t queued = entry_queue_.size();
+  erase_entry(entry_queue_, tid);
+  entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
+  acquire_owner(tid, now);
+  // Reduced recording model: a blocked request was recorded at block time
+  // and its resume is implied; only a fast-path acquire records a fresh
+  // (immediately admitted) Enter.
+  if (entry_queue_.size() == queued) {
+    record(trace::EventRecord::enter(tid, proc_lock_, true, now));
+  }
+}
+
+void SyntheticMonitor::lock_cancelled(Tid tid) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  erase_entry(entry_queue_, tid);
+  entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
+}
+
+void SyntheticMonitor::unlocked(Tid tid) {
+  if (!recording_) {
+    release_owner(tid);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  if (release_owner(tid)) {
+    record(trace::EventRecord::signal_exit(tid, proc_lock_, trace::kNoSymbol,
+                                           !entry_queue_.empty(),
+                                           clock_->now_ns()));
+  }
+}
+
+void SyntheticMonitor::cond_parked(Tid tid) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  const util::TimeNs now = clock_->now_ns();
+  cond_queue_.push_back({tid, proc_wait_, now, new_ticket()});
+  record(trace::EventRecord::wait(tid, proc_wait_, cond_sym_, now));
+}
+
+void SyntheticMonitor::cond_unparked(Tid tid) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  erase_entry(cond_queue_, tid);
+}
+
+void SyntheticMonitor::cond_signalled(Tid tid, bool /*broadcast*/) {
+  // A signal changes no queue: it is only an event, recorded alike for
+  // signal and broadcast in the reduced model.
+  if (!recording_) return;
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  record(trace::EventRecord::signal_exit(tid, proc_signal_, cond_sym_,
+                                         !cond_queue_.empty(),
+                                         clock_->now_ns()));
+}
+
+void SyntheticMonitor::reset() {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  entry_queue_.clear();
+  cond_queue_.clear();
+  entry_waiters_.store(0, std::memory_order_relaxed);
+  write_owner({});
+}
+
+// --- Checker side. -----------------------------------------------------------
+
 void SyntheticMonitor::drain_segment(std::vector<trace::EventRecord>& out) {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  apply_pending_locked();
+  std::lock_guard<std::mutex> lock(queue_mu_);
   log_.drain(out);
 }
 
 std::vector<trace::EventRecord> SyntheticMonitor::history() const {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  apply_pending_locked();
+  std::lock_guard<std::mutex> lock(queue_mu_);
   return log_.history();
 }
 
 trace::SchedulingState SyntheticMonitor::snapshot() const {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  apply_pending_locked();
   trace::SchedulingState state;
+  std::lock_guard<std::mutex> lock(queue_mu_);
   state.captured_at = clock_->now_ns();
   if (kind_ == Kind::kMutex) {
     state.entry_queue = entry_queue_;
-    if (owner_ != kNoTid) {
+    const Owner owner = read_owner();
+    if (owner.tid != kNoTid) {
       // The owner appears twice, deliberately: Running is the mutex-hold
       // edge entry-queue waits pair with (wait-for graph), holders[] is
       // what the lock-order relation's certified-interval join reads.
-      state.running = owner_;
+      state.running = owner.tid;
       state.running_proc = proc_lock_;
-      state.running_since = owner_since_;
-      state.running_ticket = owner_ticket_;
-      state.holders.push_back(
-          {owner_, owner_depth_, owner_since_, owner_ticket_});
+      state.running_since = owner.since;
+      state.running_ticket = owner.ticket;
+      state.holders.push_back({owner.tid, owner.depth, owner.since,
+                               owner.ticket});
     }
   } else {
     state.cond_queues.push_back({cond_sym_, cond_queue_});

@@ -25,22 +25,36 @@
 //                 a wait-for edge — a cond wait is an OR-wait on a future
 //                 signal, which a cycle cannot soundly encode.
 //
-// Hot-path contract: every producer call is one lock-free MpscRing push —
-// the application thread never takes a robmon lock while adapting an
-// operation, so the shim cannot deadlock against itself.  The buffered ops
-// are folded into the monitor state under apply_mu_ by whoever needs the
-// state next (the pool's drain/snapshot, or a producer that found the ring
-// full — backpressure applies the backlog inline instead of dropping).
+// Host-serialized state.  Every writer of a mutex monitor's owner state
+// (owner tid, recursion depth, hold start, ticket) holds the host's own
+// mutex: lock_acquired runs after the real lock returns and unlocked runs
+// before the real unlock.  So the owner fields need no robmon lock.  They
+// are atomics behind a single-writer seqlock version word (release stores
+// and acquire loads, plain moves on x86), and snapshot() reads them with
+// a retry loop.  An unlock by a non-owner reads
+// the owner tid and does nothing; a reset() racing a holder means the host
+// destroyed a locked mutex, which POSIX leaves undefined.
 //
-// Ordering: ops of one monitor are applied in ring claim order, which
-// matches the real-time order of the pushes.  The one exception is a
-// producer preempted between claim and publish: the apply pass stops at
-// its slot, and a backpressure-applying producer may fold a later op
-// first.  Every transition below is therefore *guarded* (an unlock by a
-// non-owner, or an acquire-remove of an absent EQ entry, is a no-op), so
-// a transient misorder can only under-report — never fabricate state, and
-// never corrupt it.  The pool's two-pass live validation then makes
-// wait-for reports exact regardless.
+// The entry queue, the condition queue and the EventLog live under one
+// leaf lock, queue_mu_.  Only blocking, parking and cond ops take it, and
+// lock_acquired only when a waiter is queued (it then erases its own entry
+// and publishes ownership inside the lock).  When recording
+// (Config::retain_history) every op takes it, so the log sees one order.
+// An uncontended lock/unlock pair therefore takes no robmon lock, and
+// robmon never holds queue_mu_ while it acquires an application lock —
+// the shim cannot deadlock against itself.
+//
+// Clock reads: only lock_blocked, cond_parked and lock_acquired read the
+// clock (queue entry times and the hold start that lock-order's
+// hold×hold join orders nested holds by), plus, when recording, every op
+// that records an event.
+//
+// Every transition is *guarded* (an unlock by a non-owner, or the removal
+// of an absent queue entry, is a no-op), so partial observation — an
+// unobserved pthread_mutex_timedlock, say — can only under-report, never
+// fabricate or corrupt state.  Episode tickets come from one per-monitor
+// counter, so the pool's two-pass live validation can tell a continuous
+// wait or hold from a re-formed one.
 #pragma once
 
 #include <atomic>
@@ -52,7 +66,6 @@
 #include "core/monitor_spec.hpp"
 #include "runtime/event_sink.hpp"
 #include "sync/gate.hpp"
-#include "sync/mpsc_ring.hpp"
 #include "trace/event.hpp"
 #include "trace/event_log.hpp"
 #include "trace/snapshot.hpp"
@@ -70,8 +83,6 @@ class SyntheticMonitor final : public rt::EventSink {
   };
 
   struct Config {
-    /// Pending-op ring capacity (slots; rounded up to a power of two).
-    std::size_t ring_capacity = 1024;
     /// Check cadence the pool reads from spec().
     util::TimeNs check_period = 100 * util::kMillisecond;
     /// Record and archive events for trace export (ROBMON_TRACE).  Off,
@@ -87,15 +98,15 @@ class SyntheticMonitor final : public rt::EventSink {
   SyntheticMonitor(const SyntheticMonitor&) = delete;
   SyntheticMonitor& operator=(const SyntheticMonitor&) = delete;
 
-  // --- Producer surface (application threads; one ring push each). ----------
+  // --- Producer surface (application threads). ------------------------------
 
   /// The thread failed a trylock and is about to block in the real lock.
   void lock_blocked(Tid tid);
-  /// The real lock (or trylock) returned success.
+  /// The real lock (or trylock) returned success; the caller holds it.
   void lock_acquired(Tid tid);
   /// The blocking lock returned an error (e.g. EDEADLK): undo the block.
   void lock_cancelled(Tid tid);
-  /// The thread is about to release the mutex.
+  /// The thread is about to release the mutex (it still holds it).
   void unlocked(Tid tid);
   /// The thread released the mutex inside pthread_cond_wait and parks.
   void cond_parked(Tid tid);
@@ -121,42 +132,35 @@ class SyntheticMonitor final : public rt::EventSink {
   Kind kind() const { return kind_; }
   /// The log's relaxed counters; history() is the export surface.
   const trace::EventLog& log() const { return log_; }
-  /// Recorded events, archived plus pending, after folding every pending
-  /// op (empty unless retain_history).  Taken under apply_mu_.
+  /// Recorded events, archived plus pending (empty unless
+  /// retain_history).  Taken under queue_mu_.
   std::vector<trace::EventRecord> history() const;
-  /// Full-ring events applied inline by a producer (never dropped).
-  std::uint64_t backpressure_syncs() const {
-    return backpressure_syncs_.load(std::memory_order_relaxed);
-  }
 
  private:
-  enum class OpKind : std::uint8_t {
-    kLockBlocked,
-    kLockAcquired,
-    kLockCancelled,
-    kUnlocked,
-    kCondParked,
-    kCondUnparked,
-    kCondSignalled,
-    kReset,
-  };
-
-  struct Op {
-    OpKind kind = OpKind::kLockBlocked;
+  /// The owner fields, as one consistent read.
+  struct Owner {
     Tid tid = kNoTid;
-    util::TimeNs time = 0;
-    bool flag = false;  ///< kCondSignalled: broadcast.
+    std::int64_t depth = 0;
+    util::TimeNs since = 0;
+    std::uint64_t ticket = 0;
   };
 
-  void push(OpKind kind, Tid tid, bool flag = false);
-  /// Fold every published ring op into the (mutable) state.  apply_mu_
-  /// held.  const because snapshot() — logically an observation — must
-  /// fold pending ops first.
-  void apply_pending_locked() const;
-  void apply_locked(const Op& op) const;
-  /// Append to the log when recording (retention) is on.  apply_mu_ held.
-  void record(const trace::EventRecord& event) const;
-  void erase_entry_wait(Tid tid) const;
+  /// Publish `owner` under the seqlock.  Caller holds the host mutex (the
+  /// single writer) or is reset().
+  void write_owner(const Owner& owner);
+  /// Consistent read of the owner fields (seqlock retry loop).
+  Owner read_owner() const;
+  /// Owner-state half of lock_acquired / unlocked (host mutex held).
+  void acquire_owner(Tid tid, util::TimeNs now);
+  /// Returns true when the release freed the mutex (depth reached 0).
+  bool release_owner(Tid tid);
+  /// Append to the log when recording.  queue_mu_ held.
+  void record(const trace::EventRecord& event);
+  /// Remove `tid`'s entry from `queue`, if any.  queue_mu_ held.
+  static void erase_entry(std::vector<trace::QueueEntry>& queue, Tid tid);
+  std::uint64_t new_ticket() {
+    return next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
 
   const Kind kind_;
   core::MonitorSpec spec_;
@@ -166,30 +170,32 @@ class SyntheticMonitor final : public rt::EventSink {
   trace::SymbolId proc_wait_ = trace::kNoSymbol;
   trace::SymbolId proc_signal_ = trace::kNoSymbol;
   trace::SymbolId cond_sym_ = trace::kNoSymbol;
+  const bool recording_;
 
   sync::CheckerGate gate_;
-  /// Owner-serialized by apply_mu_ (see EventLog's contract), like the
-  /// native monitor's log under its mu_.
-  mutable trace::EventLog log_;
 
-  /// Everything below apply_mu_ is logically part of observation:
-  /// snapshot() is const for the pool but must fold pending ops first,
-  /// hence the mutable consumer state (same pattern as HoareMonitor's
-  /// mutable mu_).
-  mutable std::mutex apply_mu_;
-  mutable sync::MpscRing<Op> ring_;
-  mutable std::vector<trace::QueueEntry> entry_queue_;
-  mutable std::vector<trace::QueueEntry> cond_queue_;
-  mutable Tid owner_ = kNoTid;
-  mutable std::int64_t owner_depth_ = 0;  ///< Recursive-mutex depth.
-  mutable util::TimeNs owner_since_ = 0;
-  mutable std::uint64_t owner_ticket_ = 0;
+  /// Owner state: written only by the thread holding the host mutex,
+  /// read by snapshot() under the seqlock (version odd while a write is in
+  /// progress).
+  std::atomic<std::uint64_t> owner_version_{0};
+  std::atomic<Tid> owner_{kNoTid};
+  std::atomic<std::int64_t> owner_depth_{0};
+  std::atomic<util::TimeNs> owner_since_{0};
+  std::atomic<std::uint64_t> owner_ticket_{0};
   /// Monotonic episode counter (see HoareMonitor::next_ticket_): one per
-  /// blocking episode and per ownership, so the pool's live validation can
-  /// tell a continuous wait from a re-formed one without trusting clocks.
-  mutable std::uint64_t next_ticket_ = 0;
+  /// blocking episode and per ownership.
+  std::atomic<std::uint64_t> next_ticket_{0};
 
-  std::atomic<std::uint64_t> backpressure_syncs_{0};
+  /// Leaf lock over the queues and the log; never held while acquiring an
+  /// application lock.
+  mutable std::mutex queue_mu_;
+  std::vector<trace::QueueEntry> entry_queue_;  // guarded by queue_mu_
+  std::vector<trace::QueueEntry> cond_queue_;   // guarded by queue_mu_
+  /// entry_queue_.size(), written under queue_mu_: lets lock_acquired skip
+  /// the lock when nobody (itself included) is queued.
+  std::atomic<std::size_t> entry_waiters_{0};
+  /// Owner-serialized by queue_mu_ (see EventLog's contract).
+  trace::EventLog log_;
 };
 
 }  // namespace robmon::interpose

@@ -57,9 +57,9 @@ class EventSink {
   virtual const trace::SymbolTable& symbols() const = 0;
 
   /// Quiesce gate: the pool takes the exclusive side around
-  /// drain_segment(out) + snapshot(); producers hold the shared side (or are
-  /// lock-free and tolerate a stale-by-one-segment drain, like the
-  /// interposition adapter's ring).
+  /// drain_segment(out) + snapshot(); producers hold the shared side, or
+  /// serialize against drain and snapshot by other means (the
+  /// interposition adapter's queue lock and owner seqlock).
   virtual sync::CheckerGate& gate() = 0;
 
   /// Replace `out` with every event recorded since the previous checking

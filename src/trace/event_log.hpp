@@ -8,7 +8,7 @@
 // Owner-serialized contract: the log takes no lock of its own.  Its owner
 // already serializes every operation that records a scheduling event —
 // HoareMonitor appends under its internal lock and SyntheticMonitor under
-// its apply lock — so append(), drain() and history() must all run under
+// its queue lock — so append(), drain() and history() must all run under
 // that same lock.  Only the three counters (pending(), total_appended(),
 // events_lost()) may be read from any thread: they are relaxed atomics
 // written by the owner, so a concurrent reader sees a recent value, not a

@@ -1,15 +1,18 @@
-// Interposition backend: the SyntheticMonitor state machine (observed-op
-// folding, guarded transitions, backpressure), the re-entrancy guard, the
-// process Runtime's registry and fork retirement, ROBMON_* env parsing,
-// and the equivalence contract — a native HoareMonitor deadlock and the
-// same logical schedule adapted through synthetic monitors must produce
-// the same wait-for edges and the same confirmed verdict.
+// Interposition backend: the SyntheticMonitor state machine (guarded
+// transitions, event retention, snapshots under concurrent owners), the
+// re-entrancy guard, the process Runtime's registry and fork retirement,
+// ROBMON_* env parsing, and the equivalence contract — a native
+// HoareMonitor deadlock and the same logical schedule adapted through
+// synthetic monitors must produce the same wait-for edges and the same
+// confirmed verdict.
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,11 +36,7 @@ using interpose::SyntheticMonitor;
 using rt::CheckerPool;
 using rt::HoareMonitor;
 
-SyntheticMonitor::Config small_config(std::size_t ring_capacity = 64) {
-  SyntheticMonitor::Config config;
-  config.ring_capacity = ring_capacity;
-  return config;
-}
+SyntheticMonitor::Config small_config() { return SyntheticMonitor::Config{}; }
 
 // --- SyntheticMonitor state machine. -----------------------------------------
 
@@ -173,26 +172,95 @@ TEST(SyntheticMonitorTest, TicketsDistinguishWaitEpisodes) {
   EXPECT_NE(first, second);
 }
 
-TEST(SyntheticMonitorTest, BackpressureAppliesInlineWithoutLoss) {
+TEST(SyntheticMonitorTest, RetentionRecordsEveryPairWithoutLoss) {
   util::ManualClock clock;
-  SyntheticMonitor::Config config = small_config(/*ring_capacity=*/2);
+  SyntheticMonitor::Config config = small_config();
   config.retain_history = true;  // Record events, so loss is countable.
   SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex, clock, config);
-  // Nobody drains while a burst far larger than the ring arrives: the
-  // producer must fold the backlog inline, never drop it.
+  // Nobody drains while the burst arrives: every op is applied in place
+  // and recorded, none dropped.
   for (int i = 0; i < 64; ++i) {
     m.lock_acquired(1);
     m.unlocked(1);
   }
-  EXPECT_GT(m.backpressure_syncs(), 0u);
   EXPECT_EQ(m.events_lost(), 0u);
   const trace::SchedulingState state = m.snapshot();
   EXPECT_FALSE(state.has_running());
-  // Every acquire/release pair was recorded despite the tiny ring.
+  // Every acquire/release pair was recorded.
   std::vector<trace::EventRecord> segment;
   m.drain_segment(segment);
   EXPECT_EQ(segment.size(), 128u);
   EXPECT_EQ(m.history().size(), 128u);
+}
+
+TEST(SyntheticMonitorTest, ConcurrentOwnersKeepSnapshotsConsistent) {
+  // Three threads take turns on one monitor through a real mutex — the
+  // host serialization the owner seqlock relies on — with recursive
+  // acquires and blocked/cancelled episodes mixed in, while a fourth
+  // thread snapshots.  Every snapshot must show a whole owner (Running,
+  // holder, depth and ticket from one ownership) or none.  Both the
+  // in-place path and the recording (ROBMON_TRACE) path run.
+  for (const bool recording : {false, true}) {
+    SCOPED_TRACE(recording ? "recording" : "in place");
+    SyntheticMonitor::Config config = small_config();
+    config.retain_history = recording;
+    SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex,
+                       util::SteadyClock::instance(), config);
+    std::mutex host;
+    constexpr int kRounds = 20000;
+    std::atomic<int> running_owners{3};
+    std::atomic<std::uint64_t> snapshots{0}, torn{0};
+
+    std::thread reader([&] {
+      std::vector<trace::EventRecord> segment;
+      while (running_owners.load(std::memory_order_acquire) > 0) {
+        const trace::SchedulingState state = m.snapshot();
+        snapshots.fetch_add(1, std::memory_order_relaxed);
+        const bool free = !state.has_running() && state.holders.empty() &&
+                          state.running_ticket == 0;
+        const bool whole = state.has_running() && state.holders.size() == 1 &&
+                           state.running == state.holders[0].pid &&
+                           state.holders[0].units >= 1 &&
+                           state.running_ticket != 0 &&
+                           state.running_ticket == state.holders[0].ticket;
+        if (!free && !whole) torn.fetch_add(1, std::memory_order_relaxed);
+        m.drain_segment(segment);
+      }
+    });
+    std::vector<std::thread> owners;
+    for (Tid tid = 1; tid <= 3; ++tid) {
+      owners.emplace_back([&, tid] {
+        for (int i = 0; i < kRounds; ++i) {
+          if (i % 5 == 0) {  // A blocked episode the real lock cancels.
+            m.lock_blocked(tid);
+            m.lock_cancelled(tid);
+          }
+          if (!host.try_lock()) {
+            m.lock_blocked(tid);
+            host.lock();
+          }
+          m.lock_acquired(tid);
+          if (i % 3 == 0) {  // Recursive re-acquisition (a recursive mutex).
+            m.lock_acquired(tid);
+            m.unlocked(tid);
+          }
+          m.unlocked(tid);
+          host.unlock();
+        }
+        running_owners.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    for (std::thread& owner : owners) owner.join();
+    reader.join();
+
+    EXPECT_GT(snapshots.load(), 0u);
+    EXPECT_EQ(torn.load(), 0u);
+    EXPECT_EQ(m.events_lost(), 0u);
+    const trace::SchedulingState end = m.snapshot();
+    EXPECT_FALSE(end.has_running());
+    EXPECT_TRUE(end.holders.empty());
+    EXPECT_TRUE(end.entry_queue.empty());
+  }
 }
 
 TEST(SyntheticMonitorTest, RetentionOffRecordsNothingButStateMoves) {
@@ -407,13 +475,19 @@ TEST(InterposeRuntimeTest, RegistryDedupesByAddressAndFindsWithoutCreating) {
 TEST(InterposeRuntimeTest, ForkChildRetiresTheParentRuntime) {
   ASSERT_NE(&Runtime::instance(), nullptr);
   ASSERT_NE(Runtime::instance_if_built(), nullptr);
+  // Cache the parent's tid, which the child must not inherit.
+  ASSERT_EQ(interpose::self_tid(), static_cast<Tid>(::syscall(SYS_gettid)));
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     // The atfork child handler must have retired the parent's runtime —
-    // its pool workers do not exist here.  _exit: no gtest teardown in
-    // the child.
-    _exit(Runtime::instance_if_built() == nullptr ? 0 : 1);
+    // its pool workers do not exist here — and cleared the cached tid, or
+    // every op and report in the child names the parent's thread.  _exit:
+    // no gtest teardown in the child.
+    const bool retired = Runtime::instance_if_built() == nullptr;
+    const bool own_tid =
+        interpose::self_tid() == static_cast<Tid>(::syscall(SYS_gettid));
+    _exit(retired && own_tid ? 0 : 1);
   }
   int status = 0;
   ASSERT_EQ(waitpid(child, &status, 0), child);
