@@ -129,6 +129,6 @@ int main(int argc, char** argv) {
               decreasing_types);
   std::printf("\n(absolute ratios are substrate-bound: the paper's JVM-2001 "
               "prototype paid 4-7.5x; modern C++ gathering costs ~1.1-1.5x. "
-              "See EXPERIMENTS.md.)\n");
+              "See docs/bench-history.md.)\n");
   return always_overhead && decreasing_types >= 2 ? 0 : 1;
 }

@@ -63,8 +63,6 @@ class Detector {
   std::size_t assertion_count() const { return assertions_.size(); }
 
   const MonitorSpec& spec() const { return spec_; }
-  const trace::SchedulingState& previous_state() const { return prev_; }
-  const RequestList& request_list() const { return requests_; }
   const ResourceCounters& counters() const { return counters_; }
 
   /// Totals over the detector's lifetime.  Atomic: tests and benches poll

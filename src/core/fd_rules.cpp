@@ -380,7 +380,7 @@ std::vector<FaultReport> validate_wait_for(
           "validate_wait_for: null state or symbol table");
     }
     graph.update(make_wait_contribution(static_cast<WaitMonitorId>(i + 1),
-                                        input.name, 0, *input.state,
+                                        input.name, *input.state,
                                         *input.symbols));
   }
   std::vector<FaultReport> reports;
@@ -415,7 +415,7 @@ std::vector<FaultReport> validate_lock_order(
                    [](const Fold& a, const Fold& b) { return a.at < b.at; });
   LockOrderGraph graph;
   for (const Fold& fold : folds) {
-    graph.observe(fold.monitor, fold.input->name, 0, *fold.state);
+    graph.observe(fold.monitor, fold.input->name, *fold.state);
   }
   std::vector<FaultReport> reports;
   for (const OrderCycle& cycle : graph.find_cycles()) {

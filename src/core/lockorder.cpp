@@ -52,7 +52,6 @@ FaultReport make_order_report(const OrderCycle& cycle,
 }
 
 void LockOrderGraph::observe(OrderMonitorId monitor, const std::string& name,
-                             std::uint64_t epoch,
                              const trace::SchedulingState& state) {
   Observation fresh;
   fresh.name = name;
@@ -118,7 +117,7 @@ void LockOrderGraph::observe(OrderMonitorId monitor, const std::string& name,
               mine.wait ? other.name : fresh.name;
           const std::string& parked_name =
               mine.wait ? fresh.name : other.name;
-          add_witness(held_at, parked_at, held_name, parked_name, epoch,
+          add_witness(held_at, parked_at, held_name, parked_name,
                       {held.pid, held.ticket, parked.ticket, true});
         } else {
           // Hold x hold: the earlier acquisition start came first; equal
@@ -130,7 +129,7 @@ void LockOrderGraph::observe(OrderMonitorId monitor, const std::string& name,
           add_witness(mine_first ? monitor : other_id,
                       mine_first ? other_id : monitor,
                       mine_first ? fresh.name : other.name,
-                      mine_first ? other.name : fresh.name, epoch,
+                      mine_first ? other.name : fresh.name,
                       {first.pid, first.ticket, second.ticket, false});
         }
       }
@@ -142,7 +141,6 @@ void LockOrderGraph::observe(OrderMonitorId monitor, const std::string& name,
 void LockOrderGraph::add_witness(OrderMonitorId from, OrderMonitorId to,
                                  const std::string& from_name,
                                  const std::string& to_name,
-                                 std::uint64_t epoch,
                                  const OrderWitness& witness) {
   auto& per_target = edges_[from];
   auto it = per_target.find(to);
@@ -152,7 +150,6 @@ void LockOrderGraph::add_witness(OrderMonitorId from, OrderMonitorId to,
     edge.to = to;
     edge.from_name = from_name;
     edge.to_name = to_name;
-    edge.first_epoch = epoch;
     it = per_target.emplace(to, std::move(edge)).first;
     ++edge_total_;
   }
@@ -162,12 +159,10 @@ void LockOrderGraph::add_witness(OrderMonitorId from, OrderMonitorId to,
         existing.from_ticket == witness.from_ticket &&
         existing.to_ticket == witness.to_ticket &&
         existing.to_wait == witness.to_wait) {
-      edge.last_epoch = epoch;  // same episode pair re-observed
-      return;
+      return;  // same episode pair re-observed
     }
   }
   ++edge.witness_total;
-  edge.last_epoch = epoch;
   if (edge.witnesses.size() < kMaxWitnessesPerEdge) {
     edge.witnesses.push_back(witness);
   }

@@ -79,8 +79,6 @@ struct OrderEdge {
   /// Distinct witnesses, capped at LockOrderGraph::kMaxWitnessesPerEdge.
   std::vector<OrderWitness> witnesses;
   std::uint64_t witness_total = 0;  ///< Including witnesses beyond the cap.
-  std::uint64_t first_epoch = 0;    ///< Checkpoint epoch of first witness.
-  std::uint64_t last_epoch = 0;     ///< Checkpoint epoch of latest witness.
 };
 
 /// One cycle in the order graph.  steps[i].witness held steps[i].monitor
@@ -119,9 +117,9 @@ class LockOrderGraph {
   /// access set (granted holds from state.holders; blocked acquisitions
   /// from EQ/CQ entries whose pid holds nothing of this monitor) and join
   /// it against every other monitor's current accesses, recording an order
-  /// edge per certified overlap.  `epoch` stamps new witnesses.
+  /// edge per certified overlap.
   void observe(OrderMonitorId monitor, const std::string& name,
-               std::uint64_t epoch, const trace::SchedulingState& state);
+               const trace::SchedulingState& state);
 
   /// Drop a monitor's accesses and every edge touching it (unregistered
   /// from the pool).  Recorded edges between other monitors survive.
@@ -162,7 +160,7 @@ class LockOrderGraph {
 
   void add_witness(OrderMonitorId from, OrderMonitorId to,
                    const std::string& from_name, const std::string& to_name,
-                   std::uint64_t epoch, const OrderWitness& witness);
+                   const OrderWitness& witness);
 
   std::unordered_map<OrderMonitorId, Observation> accesses_;
   /// Keyed by (from << 32 | ...)-free pair map; kept sorted for

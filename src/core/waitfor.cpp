@@ -9,13 +9,12 @@
 namespace robmon::core {
 
 WaitContribution make_wait_contribution(WaitMonitorId monitor,
-                                        std::string name, std::uint64_t epoch,
+                                        std::string name,
                                         const trace::SchedulingState& state,
                                         const trace::SymbolTable& symbols) {
   WaitContribution contribution;
   contribution.monitor = monitor;
   contribution.name = std::move(name);
-  contribution.epoch = epoch;
   contribution.captured_at = state.captured_at;
   for (const auto& entry : state.entry_queue) {
     contribution.waits.push_back(

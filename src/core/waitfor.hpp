@@ -23,11 +23,10 @@
 // unblocks it — which a cycle cannot soundly encode; such monitors emit no
 // resource edges (conservative: detection may be missed, never fabricated).
 //
-// Contributions are epoch-versioned: each monitor's edge set is replaced
-// wholesale when the pool drains it, tagged with the checkpoint epoch and
-// the snapshot timestamp it came from (version telemetry; candidates are
-// never filtered by age, since a monitor checked slower than the checkpoint
-// cadence would then be invisible).  Exactness comes from validation
+// Each monitor's edge set is replaced wholesale when the pool drains it,
+// tagged with the snapshot timestamp it came from.  Candidates are never
+// filtered by age, since a monitor checked slower than the checkpoint
+// cadence would then be invisible.  Exactness comes from validation
 // instead: candidate cycles are confirmed against live re-snapshots, so
 // there are zero false positives when a cycle resolves before the
 // checkpoint — see CheckerPool::run_waitfor_checkpoint.
@@ -55,7 +54,6 @@ using WaitMonitorId = std::uint64_t;
 struct WaitContribution {
   WaitMonitorId monitor = 0;
   std::string name;           ///< spec().name, for diagnostics.
-  std::uint64_t epoch = 0;    ///< Pool checkpoint epoch at contribution.
   util::TimeNs captured_at = 0;
 
   struct Wait {
@@ -81,7 +79,7 @@ struct WaitContribution {
 /// CQ entries become resource waits; Running becomes the mutex hold,
 /// holders become resource holds.  `symbols` resolves condition names.
 WaitContribution make_wait_contribution(WaitMonitorId monitor,
-                                        std::string name, std::uint64_t epoch,
+                                        std::string name,
                                         const trace::SchedulingState& state,
                                         const trace::SymbolTable& symbols);
 

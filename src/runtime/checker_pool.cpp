@@ -20,6 +20,9 @@ constexpr util::TimeNs kMinPeriodNs = 100'000;  // 100us
 /// the adaptive-cadence controller.
 constexpr double kIdleEventsEwma = 0.5;
 
+/// EWMA weight of the newest drained segment size in the idle estimate.
+constexpr double kEventsEwmaAlpha = 0.25;
+
 /// Deadlines and durations are backend wall-clock: Options::clock only feeds
 /// the detection rules, so a frozen ManualClock must not stall the cadence.
 /// Under SimBackend this is the scheduler's virtual clock, which only a
@@ -113,10 +116,6 @@ CheckerPool::MonitorId CheckerPool::add_impl(EventSink& source,
   if (options.max_stretch < 1.0) {
     throw std::invalid_argument(
         "CheckerPool::add: max_stretch must be >= 1");
-  }
-  if (options.ewma_alpha <= 0.0 || options.ewma_alpha > 1.0) {
-    throw std::invalid_argument(
-        "CheckerPool::add: ewma_alpha must be in (0, 1]");
   }
   auto entry = std::make_unique<Entry>();
   entry->monitor = &source;
@@ -388,7 +387,6 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   std::vector<trace::EventRecord>& segment = entry.segment;
   std::optional<trace::SchedulingState> state;
   core::Detector::CheckStats stats;
-  util::TimeNs gate_released = started;
   // While a monitor is recovery-poisoned its traffic is out-of-band by
   // definition (evictions and would-block rejections record no events,
   // but admitted non-blocking calls still record theirs), so replaying
@@ -414,25 +412,18 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
       stats.idle = segment.empty();
     }
   };
-  if (entry.options.hold_gate_during_check) {
-    {
-      sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-      entry.monitor->drain_segment(segment);
-      state = entry.monitor->snapshot();
-      suppressed = entry.monitor->recovery_poisoned();
-      evaluate();
-    }
-    gate_released = wall_now();  // paper mode: suspended through the check
-  } else {
-    {
-      sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-      entry.monitor->drain_segment(segment);
-      state = entry.monitor->snapshot();
-      suppressed = entry.monitor->recovery_poisoned();
-    }
-    gate_released = wall_now();
-    evaluate();
+  // Paper mode keeps monitor traffic suspended through the algorithms;
+  // otherwise the gate reopens right after drain + snapshot.
+  const bool hold = entry.options.hold_gate_during_check;
+  {
+    sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
+    entry.monitor->drain_segment(segment);
+    state = entry.monitor->snapshot();
+    suppressed = entry.monitor->recovery_poisoned();
+    if (hold) evaluate();
   }
+  const util::TimeNs gate_released = wall_now();
+  if (!hold) evaluate();
   if (suppressed) stats.idle = true;
   const util::TimeNs finished = wall_now();
   checks_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -444,11 +435,8 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   if (occupied_out != nullptr) {
     *occupied_out = state->has_running() || state->blocked_count() > 0;
   }
-  if (waitfor_enabled() && entry.options.contribute_wait_edges) {
-    contribute_wait_edges(entry, *state);
-  }
-  if (lockorder_enabled() && entry.options.contribute_lock_order &&
-      !budget_.shed_prediction()) {
+  if (waitfor_enabled()) contribute_wait_edges(entry, *state);
+  if (lockorder_enabled() && !budget_.shed_prediction()) {
     // Shed with the prediction checkpoint: the per-check fold is the other
     // half of prediction's cost (the observe() join).  Edges missed while
     // shed are simply not recorded — the relation is advisory, and the
@@ -472,9 +460,8 @@ void CheckerPool::update_cadence_locked(
   const double boost = budget_.stretch_boost();
   const double widen = budget_.widen_factor();
   const double ceiling = std::max(1.0, entry.options.max_stretch * boost);
-  const double alpha = entry.options.ewma_alpha;
-  entry.ewma_events = alpha * static_cast<double>(stats.events) +
-                      (1.0 - alpha) * entry.ewma_events;
+  entry.ewma_events = kEventsEwmaAlpha * static_cast<double>(stats.events) +
+                      (1.0 - kEventsEwmaAlpha) * entry.ewma_events;
   // Symmetric recovery: a ceiling that shrank back (boost returned to 1)
   // re-clamps stretch retained from the pressure episode immediately.
   entry.stretch = std::min(entry.stretch, ceiling);
@@ -540,12 +527,10 @@ util::TimeNs CheckerPool::next_due_locked(const Entry& entry,
 void CheckerPool::contribute_wait_edges(const Entry& entry,
                                         const trace::SchedulingState& state) {
   // Resolve names and copy queues outside the graph lock; only the swap-in
-  // (and the epoch stamp) happens under it.
+  // happens under it.
   core::WaitContribution contribution = core::make_wait_contribution(
-      entry.id, entry.monitor->spec().name, 0, state,
-      entry.monitor->symbols());
+      entry.id, entry.monitor->spec().name, state, entry.monitor->symbols());
   std::lock_guard<sync::BackendMutex> lock(graph_mu_);
-  contribution.epoch = graph_epoch_;
   graph_.update(std::move(contribution));
 }
 
@@ -555,8 +540,7 @@ void CheckerPool::contribute_lock_order(const Entry& entry,
   // accesses, so the whole fold runs under the order-graph lock.  The
   // access sets are one snapshot deep per monitor, keeping the join small.
   std::lock_guard<sync::BackendMutex> lock(lockorder_mu_);
-  order_graph_.observe(entry.id, entry.monitor->spec().name,
-                       lockorder_epoch_, state);
+  order_graph_.observe(entry.id, entry.monitor->spec().name, state);
 }
 
 bool CheckerPool::validate_cycle(const core::DeadlockCycle& cycle) {
@@ -617,7 +601,6 @@ std::size_t CheckerPool::run_waitfor_checkpoint() {
   std::vector<core::DeadlockCycle> candidates;
   {
     std::lock_guard<sync::BackendMutex> lock(graph_mu_);
-    ++graph_epoch_;
     candidates = graph_.find_cycles();
   }
   waitfor_checkpoints_.fetch_add(1, std::memory_order_relaxed);
@@ -660,11 +643,6 @@ std::size_t CheckerPool::run_waitfor_checkpoint() {
   return confirmed_count;
 }
 
-std::uint64_t CheckerPool::waitfor_epoch() const {
-  std::lock_guard<sync::BackendMutex> lock(graph_mu_);
-  return graph_epoch_;
-}
-
 std::size_t CheckerPool::waitfor_graph_monitors() const {
   std::lock_guard<sync::BackendMutex> lock(graph_mu_);
   return graph_.monitor_count();
@@ -689,7 +667,6 @@ std::size_t CheckerPool::run_lockorder_checkpoint() {
   std::size_t present = 0;
   {
     std::lock_guard<sync::BackendMutex> lock(lockorder_mu_);
-    ++lockorder_epoch_;
     for (core::OrderCycle& cycle : order_graph_.find_cycles()) {
       ++present;
       auto [it, inserted] =
@@ -710,11 +687,6 @@ std::size_t CheckerPool::run_lockorder_checkpoint() {
     if (recovery_enabled()) act_on_order_cycle(cycle, edges_snapshot);
   }
   return present;
-}
-
-std::uint64_t CheckerPool::lockorder_epoch() const {
-  std::lock_guard<sync::BackendMutex> lock(lockorder_mu_);
-  return lockorder_epoch_;
 }
 
 std::size_t CheckerPool::lockorder_edge_count() const {

@@ -50,8 +50,8 @@
 // schedule() and are joined by the destructor.
 //
 // Cross-monitor deadlock detection (Options::waitfor_checkpoint_period):
-// every check additionally folds the monitor's snapshot into a shared
-// epoch-versioned core::WaitForGraph; a pool-level checkpoint item on the
+// every check of every registered monitor additionally folds its snapshot
+// into a shared core::WaitForGraph; a pool-level checkpoint item on the
 // same deadline heap periodically runs cycle detection over the graph.
 // Candidate cycles may rest on snapshots taken at different times, so each
 // one is confirmed against *live* re-snapshots of the participating
@@ -64,10 +64,10 @@
 // confirmed cycle is reported once and re-armed if it ever dissolves.
 //
 // Lock-order prediction (Options::lockorder_checkpoint_period): a second
-// epoch-versioned pool-level checkpoint, on its own reserved heap item,
-// accumulates the (monitor -> monitor) acquisition-order relation — fed
-// from the same per-check snapshots (SchedulingState.holders plus each
-// thread's queued acquisitions) via core::LockOrderGraph — and runs SCC
+// pool-level checkpoint, on its own reserved heap item, accumulates the
+// (monitor -> monitor) acquisition-order relation — fed from the same
+// per-check snapshots (SchedulingState.holders plus each thread's queued
+// acquisitions) via core::LockOrderGraph — and runs SCC
 // cycle detection over the *order* graph.  A cycle there means monitors
 // are taken in inconsistent orders even though no real wait cycle ever
 // closed; it is reported once as a kPotentialDeadlock warning naming the
@@ -210,19 +210,11 @@ class CheckerPool {
     /// Keep monitor traffic suspended while the algorithms run (paper
     /// behaviour).  false = release the gate right after the snapshot.
     bool hold_gate_during_check = true;
-    /// Fold this monitor's snapshots into the pool-level wait-for graph
-    /// (no-op unless Options::waitfor_checkpoint_period is set).
-    bool contribute_wait_edges = true;
-    /// Fold this monitor's snapshots into the pool-level acquisition-order
-    /// relation (no-op unless Options::lockorder_checkpoint_period is set).
-    bool contribute_lock_order = true;
     /// Adaptive cadence ceiling: while the monitor is idle (no drained
     /// events, nobody running or queued), its effective check period
     /// stretches up to check_period × max_stretch.  1.0 = fixed cadence.
     /// Must be ≥ 1.
     double max_stretch = 1.0;
-    /// EWMA weight of the newest segment size in the idle estimate.
-    double ewma_alpha = 0.25;
     /// Synchronous in-path checking vs the offloaded pool path.  kInline
     /// monitors stay off the worker heap while nominal; the call site is
     /// responsible for polling check_inline() (RobustMonitor does this at
@@ -318,8 +310,6 @@ class CheckerPool {
 
   /// Worker threads currently running (0 until the first schedule()).
   std::size_t thread_count() const;
-  /// Worker threads the pool will run once started (the clamped K).
-  std::size_t configured_threads() const { return configured_threads_; }
   std::size_t monitor_count() const;
   std::size_t scheduled_count() const;
 
@@ -353,12 +343,12 @@ class CheckerPool {
   std::uint64_t total_check_ns() const {
     return total_check_ns_.load(std::memory_order_relaxed);
   }
-  /// Events dropped by the registered monitors' EventLogs under the
-  /// ring-overflow contract (sum of EventLog::events_lost() over every
-  /// currently registered monitor).  A healthy pool keeps this at 0: the
-  /// periodic drain empties each ring well inside its capacity.  Non-zero
-  /// means ingestion outran checking and the loss accounting — not silent
-  /// gaps — absorbed the difference.
+  /// Events dropped by the registered monitors' EventLogs at their pending
+  /// bound (sum of EventLog::events_lost() over every currently registered
+  /// monitor; see EventLog::Options::capacity).  A healthy pool keeps this
+  /// at 0: the periodic drain empties each log well inside its capacity.
+  /// Non-zero means ingestion outran checking and the loss accounting — not
+  /// silent gaps — absorbed the difference.
   std::uint64_t events_lost() const;
 
   /// Wait-for checkpoint passes executed (periodic + run_waitfor_checkpoint).
@@ -369,8 +359,6 @@ class CheckerPool {
   std::uint64_t deadlocks_reported() const {
     return deadlocks_reported_.load(std::memory_order_relaxed);
   }
-  /// Current checkpoint epoch (bumped at the start of every pass).
-  std::uint64_t waitfor_epoch() const;
   /// Monitors currently contributing edges to the wait-for graph.
   std::size_t waitfor_graph_monitors() const;
 
@@ -382,8 +370,6 @@ class CheckerPool {
   std::uint64_t potential_deadlocks_reported() const {
     return potential_deadlocks_reported_.load(std::memory_order_relaxed);
   }
-  /// Current prediction epoch (bumped at the start of every pass).
-  std::uint64_t lockorder_epoch() const;
   /// Distinct (from, to) pairs in the accumulated order relation.
   std::size_t lockorder_edge_count() const;
   /// Flattened copy of the order relation (trace export, diagnostics).
@@ -581,12 +567,6 @@ class CheckerPool {
   sync::BackendMutex checkpoint_pass_mu_;
   mutable sync::BackendMutex graph_mu_;
   core::WaitForGraph graph_;
-  /// Bumped per checkpoint pass and stamped into contributions — the
-  /// version telemetry behind waitfor_epoch()/WaitContribution::epoch.
-  /// Exactness comes from live validation, not epoch gating: filtering
-  /// candidates by epoch would lose monitors whose check cadence is slower
-  /// than the checkpoint cadence.
-  std::uint64_t graph_epoch_ = 0;
   /// Cycles confirmed at the previous pass, keyed by canonical cycle key
   /// and remembering the participating monitors (suppresses duplicate
   /// reports while a deadlock persists; cleared when the cycle dissolves,
@@ -598,7 +578,6 @@ class CheckerPool {
   /// never the reverse (remove() erases a monitor's edges under mu_).
   mutable sync::BackendMutex lockorder_mu_;
   core::LockOrderGraph order_graph_;
-  std::uint64_t lockorder_epoch_ = 0;
   /// Order cycles already warned about, keyed by canonical cycle key and
   /// remembering the participating monitors: the order relation never
   /// dissolves on its own, so a warning fires once — until a participant

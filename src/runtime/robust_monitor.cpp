@@ -15,8 +15,6 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
       detector_(monitor_.spec(), monitor_.symbols(), sink) {
   CheckerPool::MonitorOptions policy;
   policy.hold_gate_during_check = options_.hold_gate_during_check;
-  policy.contribute_wait_edges = options_.contribute_wait_edges;
-  policy.contribute_lock_order = options_.contribute_lock_order;
   policy.max_stretch = options_.cadence_max_stretch;
   policy.instrumentation = options_.check_instrumentation;
   if (options_.retain_trace) {

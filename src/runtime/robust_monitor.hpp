@@ -60,14 +60,6 @@ class RobustMonitor {
     /// monitor owns a private one-thread CheckerPool on `clock` instead.
     /// Either way every knob below applies identically.
     CheckerPool* checker_pool = nullptr;
-    /// Contribute this monitor's snapshots to the pool's cross-monitor
-    /// wait-for graph (only meaningful when the pool has its wait-for
-    /// checkpoint enabled).
-    bool contribute_wait_edges = true;
-    /// Contribute this monitor's snapshots to the pool's lock-order
-    /// prediction relation (only meaningful when the pool has its
-    /// prediction checkpoint enabled).
-    bool contribute_lock_order = true;
     /// Where the checking routine runs.
     /// kOffloaded (default): the pool's worker threads, asynchronously.
     /// kInline: synchronously on the calling thread — exit() and

@@ -22,12 +22,11 @@ util::TimeNs wall_now() {
       .count();
 }
 
-/// Parade timing (impose-order phase 1): each philosopher briefly holds
-/// left+right under a driver-side serialization; the dwell is long enough
-/// that the driver's sub-dwell check_now polling certainly snapshots the
-/// double hold.
+/// Parade timing (impose-order phase 1): each philosopher takes left, then
+/// right one step later, under a driver-side serialization, and keeps both
+/// until the driver's check_now sweeps have certainly snapshotted the
+/// double hold (see `sweeps` in run_dining_load).
 constexpr util::TimeNs kParadeStepNs = 1 * util::kMillisecond;
-constexpr util::TimeNs kParadeDwellNs = 4 * util::kMillisecond;
 
 bool is_timeout_rule(core::RuleId rule) {
   return rule == core::RuleId::kSt8cHoldExceedsTlimit ||
@@ -214,6 +213,12 @@ DiningLoadResult run_dining_load(const DiningLoadOptions& options) {
   const std::size_t injected_threads =
       deadlock_rings * static_cast<std::size_t>(n);
   std::atomic<std::size_t> parade_done{0};
+  /// Full phase-1 check_now sweeps completed by the driver.  A parader
+  /// keeps its double hold until this advances by 2: the second sweep to
+  /// finish began after the first one did, hence after the hold began, so
+  /// it snapshotted both forks mid-hold.  A fixed dwell is not enough — one
+  /// sweep can outlast it on a slow (e.g. sanitizer) build.
+  std::atomic<std::uint64_t> sweeps{0};
   std::atomic<bool> phase2_go{false};
   std::atomic<std::size_t> recovered_done{0};
   /// Wall time the first injected cycle closed (recovery-latency clock).
@@ -240,8 +245,8 @@ DiningLoadResult run_dining_load(const DiningLoadOptions& options) {
           if (impose) {
             // Phase 1 — parade: serialized, each philosopher briefly holds
             // left+right, so the circular order relation is recorded with
-            // no real deadlock possible.  The driver polls check_now at
-            // sub-dwell cadence, warns, and imposes before phase 2 starts.
+            // no real deadlock possible.  The driver sweeps check_now over
+            // the forks, warns, and imposes before phase 2 starts.
             {
               std::lock_guard<std::mutex> parade(*parade_mu[r]);
               if (fork_at(r, left).acquire(pid) != rt::Status::kOk) return;
@@ -251,8 +256,12 @@ DiningLoadResult run_dining_load(const DiningLoadOptions& options) {
                 fork_at(r, left).release(pid);
                 return;
               }
-              std::this_thread::sleep_for(
-                  std::chrono::nanoseconds(kParadeDwellNs));
+              const std::uint64_t seen =
+                  sweeps.load(std::memory_order_acquire);
+              while (sweeps.load(std::memory_order_acquire) < seen + 2 &&
+                     !tearing_down.load(std::memory_order_acquire)) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+              }
               fork_at(r, right).release(pid);
               fork_at(r, left).release(pid);
             }
@@ -395,14 +404,15 @@ DiningLoadResult run_dining_load(const DiningLoadOptions& options) {
   util::TimeNs impose_baseline = 0;
 
   if (impose) {
-    // Phase-1 observation: poll every injected-ring fork at sub-dwell
-    // cadence while the parades run, so each double hold is certainly
-    // snapshotted into the order relation.
+    // Phase-1 observation: sweep every injected-ring fork while the
+    // parades run; each parader holds until two sweeps have finished, so
+    // each double hold is certainly snapshotted into the order relation.
     while (parade_done.load(std::memory_order_acquire) < injected_threads &&
            !expired()) {
       for (std::size_t i = 0; i < deadlock_rings * forks_per_ring; ++i) {
         fork_monitors[i]->check_now();
       }
+      sweeps.fetch_add(1, std::memory_order_acq_rel);
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
     impose_baseline = wall_now();

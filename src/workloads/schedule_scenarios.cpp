@@ -1,8 +1,10 @@
 #include "workloads/schedule_scenarios.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace robmon::wl {
 
@@ -247,13 +249,11 @@ void run_recovery_full(SimScheduler& sched, Recorder& rec,
     options.recovery.gate = &gate;
     return options;
   }());
-  // The deadlocking pair must not feed the order relation: its inconsistent
-  // holds would draw a second order cycle and a second imposition, coupling
-  // the two halves of the scenario.
-  RobustMonitor::Options confirmed_options = pool_options(pool);
-  confirmed_options.contribute_lock_order = false;
-  RobustMonitor m0(alloc_spec("f0"), sink, confirmed_options);
-  RobustMonitor m1(alloc_spec("f1"), sink, confirmed_options);
+  // Every monitor feeds the order relation, so the deadlocking pair's
+  // opposite-order holds on f0/f1 draw a true order warning (and an
+  // imposition) of their own beside the g0/g1 one.
+  RobustMonitor m0(alloc_spec("f0"), sink, pool_options(pool));
+  RobustMonitor m1(alloc_spec("f1"), sink, pool_options(pool));
   RobustMonitor m2(alloc_spec("g0"), sink, pool_options(pool));
   RobustMonitor m3(alloc_spec("g1"), sink, pool_options(pool));
   ResourceAllocator f0(m0, 1), f1(m1, 1), g0(m2, 1), g1(m3, 1);
@@ -301,8 +301,8 @@ void run_recovery_full(SimScheduler& sched, Recorder& rec,
   sched.join_fiber(fiber_a);
   sched.join_fiber(fiber_b);
 
-  rec.expect(poll_until([&] { return pool.orders_imposed() >= 1; }),
-             "lock-order imposition never fired");
+  rec.expect(poll_until([&] { return gate.is_fenced(4); }),
+             "g0/g1 imposition never fenced its minority witness");
   // The fenced witness crosses once more: the crossing must run under the
   // exclusive protocol.
   const int fiber_e = sched.spawn(
@@ -332,10 +332,22 @@ void run_recovery_full(SimScheduler& sched, Recorder& rec,
   rec.expect_eq(pool.victims_poisoned(), 1, "victims poisoned");
   rec.expect_eq(pool.recovery_faults_delivered(), 0, "faults delivered");
   rec.expect_eq(pool.monitors_unpoisoned(), 1, "monitors unpoisoned");
-  rec.expect_eq(pool.orders_imposed(), 1, "orders imposed");
-  rec.expect_eq(pool.recovery_actions(), 2, "recovery actions");
-  rec.expect_eq(pool.potential_deadlocks_reported(), 1, "order cycles");
+  rec.expect_eq(pool.orders_imposed(), 2, "orders imposed");
+  rec.expect_eq(pool.recovery_actions(), 3, "recovery actions");
+  rec.expect_eq(pool.potential_deadlocks_reported(), 2, "order cycles");
   rec.expect(gate.engaged(), "gate not engaged after imposition");
+  // Both impositions landed: the gate ranks both pairs (g0 first, C's
+  // dominant order), and the g0/g1 minority witness stays fenced.
+  const std::vector<std::string> imposed = gate.imposed_order();
+  const auto rank = [&imposed](const char* name) {
+    return std::find(imposed.begin(), imposed.end(), name) - imposed.begin();
+  };
+  const auto unranked = static_cast<std::ptrdiff_t>(imposed.size());
+  rec.expect(rank("f0") < unranked && rank("f1") < unranked,
+             "imposed order does not rank f0/f1");
+  rec.expect(rank("g0") < rank("g1") && rank("g1") < unranked,
+             "imposed order does not rank g0 before g1");
+  rec.expect(gate.is_fenced(4), "pid 4 not fenced");
   rec.expect_eq(gate.fenced_crossings(), 1, "fenced crossings");
   rec.expect(m0.recovery_poisoned() == false && m1.recovery_poisoned() == false,
              "poison still sticky after dissolution");

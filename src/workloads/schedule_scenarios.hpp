@@ -22,6 +22,8 @@ enum class ScheduleScenario {
   /// The acceptance scenario: a confirmed wait-for cycle broken by victim
   /// poison AND a predicted order cycle pre-empted by a gate imposition, in
   /// one pool run (periodic checks + both checkpoints on worker fibers).
+  /// The deadlocking pair's opposite-order holds draw a second, true order
+  /// warning and imposition of their own.
   kRecoveryFull,
   /// Confirmed cycle broken by targeted fault delivery (no poison).
   kDeliverToVictim,

@@ -74,10 +74,6 @@ TEST(BatchCadenceTest, NegativePeriodAndBadKnobsRejected) {
   bad_stretch.max_stretch = 0.5;
   EXPECT_THROW(pool.add(ok.monitor, ok.detector, bad_stretch),
                std::invalid_argument);
-  CheckerPool::MonitorOptions bad_alpha;
-  bad_alpha.ewma_alpha = 0.0;
-  EXPECT_THROW(pool.add(ok.monitor, ok.detector, bad_alpha),
-               std::invalid_argument);
 }
 
 TEST(BatchCadenceTest, AdaptiveCadenceStretchesIdleMonitorsGeometrically) {

@@ -60,8 +60,8 @@ TEST(LockOrderGraphTest, InconsistentHoldOrdersFormACycle) {
   trace::SchedulingState b = state_at(100);
   add_hold(b, 1, 20, 3);
   add_hold(b, 2, 30, 4);
-  graph.observe(1, "A", 1, a);
-  graph.observe(2, "B", 1, b);
+  graph.observe(1, "A", a);
+  graph.observe(2, "B", b);
 
   EXPECT_EQ(graph.edge_count(), 2u);  // A->B (p1) and B->A (p2)
   const auto cycles = graph.find_cycles();
@@ -89,8 +89,8 @@ TEST(LockOrderGraphTest, ConsistentOrderNeverWarns) {
   trace::SchedulingState b = state_at(100);
   add_hold(b, 1, 20, 3);
   add_hold(b, 2, 40, 4);
-  graph.observe(1, "A", 1, a);
-  graph.observe(2, "B", 1, b);
+  graph.observe(1, "A", a);
+  graph.observe(2, "B", b);
   EXPECT_EQ(graph.edge_count(), 1u);  // A->B only, two witnesses
   EXPECT_TRUE(graph.find_cycles().empty());
 }
@@ -104,14 +104,14 @@ TEST(LockOrderGraphTest, SingleThreadReversalIsNotPlausible) {
   add_hold(a1, 1, 10, 1);
   trace::SchedulingState b1 = state_at(50);
   add_hold(b1, 1, 20, 2);
-  graph.observe(1, "A", 1, a1);
-  graph.observe(2, "B", 1, b1);
+  graph.observe(1, "A", a1);
+  graph.observe(2, "B", b1);
   trace::SchedulingState b2 = state_at(150);
   add_hold(b2, 1, 110, 3);
   trace::SchedulingState a2 = state_at(150);
   add_hold(a2, 1, 120, 4);
-  graph.observe(2, "B", 2, b2);
-  graph.observe(1, "A", 2, a2);
+  graph.observe(2, "B", b2);
+  graph.observe(1, "A", a2);
 
   EXPECT_EQ(graph.edge_count(), 2u);
   EXPECT_TRUE(graph.find_cycles().empty());
@@ -122,20 +122,13 @@ TEST(LockOrderGraphTest, SingleThreadReversalIsNotPlausible) {
   add_hold(b3, 2, 210, 5);
   trace::SchedulingState a3 = state_at(250);
   add_hold(a3, 2, 220, 6);
-  graph.observe(2, "B", 3, b3);
-  graph.observe(1, "A", 3, a3);
+  graph.observe(2, "B", b3);
+  graph.observe(1, "A", a3);
   EXPECT_EQ(graph.find_cycles().size(), 1u);
 
-  // Epoch telemetry: each edge remembers the checkpoint epoch of its first
-  // and latest witness (diagnostics on exported relations).
+  // The second thread's witness joined the existing B -> A edge.
   for (const OrderEdge& edge : graph.edges()) {
-    if (edge.from_name == "A") {
-      EXPECT_EQ(edge.first_epoch, 1u);
-      EXPECT_EQ(edge.last_epoch, 1u);
-    } else {
-      EXPECT_EQ(edge.first_epoch, 2u);
-      EXPECT_EQ(edge.last_epoch, 3u);
-    }
+    EXPECT_EQ(edge.witness_total, edge.from_name == "A" ? 1u : 2u);
   }
 }
 
@@ -147,8 +140,8 @@ TEST(LockOrderGraphTest, BlockedAcquisitionWitnessesTheEdge) {
   add_hold(a, 1, 10, 1);
   trace::SchedulingState b = state_at(100);
   add_wait(b, 1, 20, 2);
-  graph.observe(1, "A", 1, a);
-  graph.observe(2, "B", 1, b);
+  graph.observe(1, "A", a);
+  graph.observe(2, "B", b);
   const auto edges = graph.edges();
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges[0].from_name, "A");
@@ -167,8 +160,8 @@ TEST(LockOrderGraphTest, DisjointIntervalsDoNotFabricateOrders) {
   add_hold(a, 1, 10, 1);
   trace::SchedulingState b = state_at(100);
   add_hold(b, 1, 60, 2);
-  graph.observe(1, "A", 1, a);
-  graph.observe(2, "B", 1, b);
+  graph.observe(1, "A", a);
+  graph.observe(2, "B", b);
   EXPECT_EQ(graph.edge_count(), 0u);
 }
 
@@ -180,8 +173,8 @@ TEST(LockOrderGraphTest, FrozenClockTiesAreUnordered) {
   add_hold(a, 1, 100, 1);
   trace::SchedulingState b = state_at(100);
   add_hold(b, 1, 100, 2);
-  graph.observe(1, "A", 1, a);
-  graph.observe(2, "B", 1, b);
+  graph.observe(1, "A", a);
+  graph.observe(2, "B", b);
   EXPECT_EQ(graph.edge_count(), 0u);
 }
 
@@ -194,8 +187,8 @@ TEST(LockOrderGraphTest, WaitWhileHoldingSameMonitorIsNotAnAcquisition) {
   add_wait(b, 1, 30, 2);
   trace::SchedulingState a = state_at(100);
   add_hold(a, 1, 10, 3);
-  graph.observe(2, "B", 1, b);
-  graph.observe(1, "A", 1, a);
+  graph.observe(2, "B", b);
+  graph.observe(1, "A", a);
   const auto edges = graph.edges();
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges[0].from_name, "B");
@@ -210,8 +203,8 @@ TEST(LockOrderGraphTest, EraseDropsAMonitorsEdges) {
   trace::SchedulingState b = state_at(100);
   add_hold(b, 1, 20, 3);
   add_hold(b, 2, 30, 4);
-  graph.observe(1, "A", 1, a);
-  graph.observe(2, "B", 1, b);
+  graph.observe(1, "A", a);
+  graph.observe(2, "B", b);
   ASSERT_EQ(graph.find_cycles().size(), 1u);
   graph.erase(2);
   EXPECT_EQ(graph.edge_count(), 0u);
@@ -227,8 +220,8 @@ TEST(LockOrderGraphTest, WitnessCapBoundsMemoryNotCounting) {
     add_hold(a, pid, 100 + i * 10 - 5, static_cast<std::uint64_t>(2 * i + 1));
     trace::SchedulingState b = state_at(100 + i * 10);
     add_hold(b, pid, 100 + i * 10 - 2, static_cast<std::uint64_t>(2 * i + 2));
-    graph.observe(1, "A", 1, a);
-    graph.observe(2, "B", 1, b);
+    graph.observe(1, "A", a);
+    graph.observe(2, "B", b);
   }
   const auto edges = graph.edges();
   ASSERT_EQ(edges.size(), 1u);
@@ -276,8 +269,8 @@ TEST(LockOrderGraphTest, RestoreFromPersistedRecordsRederivesCycles) {
   trace::SchedulingState b = state_at(100);
   add_hold(b, 1, 20, 3);
   add_hold(b, 2, 30, 4);
-  graph.observe(1, "A", 1, a);
-  graph.observe(2, "B", 1, b);
+  graph.observe(1, "A", a);
+  graph.observe(2, "B", b);
   const auto live = graph.find_cycles();
   ASSERT_EQ(live.size(), 1u);
 
@@ -405,8 +398,7 @@ TEST(PoolLockOrderTest, OrderCycleWithoutWaitCycleWarnsExactlyOnce) {
   // The relation is historical: the cycle persists, but the warning fired.
   EXPECT_EQ(fx.pool.run_lockorder_checkpoint(), 1u);
   EXPECT_EQ(fx.reports_with(RuleId::kLockOrderCycle), 1u);
-  // Each pass bumps the prediction epoch (contribution-version telemetry).
-  EXPECT_EQ(fx.pool.lockorder_epoch(), 2u);
+  EXPECT_EQ(fx.pool.lockorder_checkpoints(), 2u);
 }
 
 TEST(PoolLockOrderTest, GateSerializedConsistentOrderNeverWarns) {

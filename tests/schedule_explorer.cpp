@@ -38,12 +38,12 @@ using wl::ScheduleScenario;
 // point, so a change to the locks a destructor takes can move a digest
 // without changing the scorecard.
 const CorpusRow kCorpus[] = {
-    {ScheduleScenario::kRecoveryFull, 1, 0xec1dea148f87b47cULL,
-     "wf=1 lo=1 act=2 poison=1 deliver=0 unpoison=1 impose=1 fenced=1 "
-     "rf=1 reports=4"},
-    {ScheduleScenario::kRecoveryFull, 2, 0xd9a0af4247bfe813ULL,
-     "wf=1 lo=1 act=2 poison=1 deliver=0 unpoison=1 impose=1 fenced=1 "
-     "rf=1 reports=4"},
+    {ScheduleScenario::kRecoveryFull, 1, 0x9f2687813b721065ULL,
+     "wf=1 lo=2 act=3 poison=1 deliver=0 unpoison=1 impose=2 fenced=1 "
+     "rf=1 reports=6"},
+    {ScheduleScenario::kRecoveryFull, 2, 0x391294601cedf00cULL,
+     "wf=1 lo=2 act=3 poison=1 deliver=0 unpoison=1 impose=2 fenced=1 "
+     "rf=1 reports=6"},
     {ScheduleScenario::kDeliverToVictim, 1, 0xb8827e3fbacac9f7ULL,
      "wf=1 lo=0 act=1 poison=0 deliver=1 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
