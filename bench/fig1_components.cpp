@@ -50,7 +50,7 @@ void BM_MonitorOp_Instrumented(benchmark::State& state) {
   for (auto _ : state) {
     monitor.enter(1, op);
     monitor.exit(1);
-    if (monitor.log().pending() > 65536) monitor.drain_segment(segment);
+    if (monitor.log().pending() > 65536) monitor.capture(segment);
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }

@@ -4,7 +4,7 @@
 //
 // For each M in --monitors the bench runs the same injected-fault workload
 // (a subset of monitors gets one deterministic fault) and reports client
-// throughput, checking throughput, the gate-exclusive quiesce window, and
+// throughput, checking throughput, the capture window per check, and
 // the number of detection threads provisioned — K, however large M grows.
 // The run fails (non-zero exit) if any injected fault goes undetected or a
 // clean monitor reports one.  docs/bench-history.md keeps the last numbers

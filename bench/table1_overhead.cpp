@@ -15,6 +15,10 @@
 // so we scale the interval axis by 1/500 (T = 1..6 ms) to keep f/T in the
 // observable regime, and we verify the paper's two qualitative claims:
 // the extension always costs throughput, and the cost falls as T grows.
+//
+// Each cell runs `reps` back-to-back off/on pairs and reports the median
+// per-pair ratio with its IQR (the benchmark suite's method), so machine
+// drift lands inside a pair, not between a baseline and later runs.
 #include <cstdio>
 #include <vector>
 
@@ -50,7 +54,7 @@ std::int64_t calibrate(core::MonitorType type, double target_seconds) {
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.define("duration", "1.2", "target seconds per measured run");
-  flags.define("reps", "2", "repetitions per cell");
+  flags.define("reps", "3", "off/on pairs per cell");
   if (!flags.parse(argc, argv)) return 2;
   const double duration = flags.f64("duration");
   const int reps = static_cast<int>(flags.i64("reps"));
@@ -65,21 +69,14 @@ int main(int argc, char** argv) {
   std::printf("Table 1: overhead ratio (with extension / without) vs "
               "checking interval T\n");
   std::printf("(T axis = paper axis x 1/500, i.e. 1..6 ms; 4 workers; "
-              "~%.1fs per run; %d reps)\n\n",
+              "~%.1fs per run; median [IQR] of %d off/on pairs)\n\n",
               duration, reps);
   std::printf("%-22s %-20s %-20s %-20s\n", "T (paper -> ours)",
               "coordinator", "allocator", "manager");
 
-  // Baselines are T-independent: one per type (averaged over reps).
-  std::vector<double> baseline(types.size(), 0.0);
   std::vector<std::int64_t> ops(types.size(), 0);
   for (std::size_t t = 0; t < types.size(); ++t) {
     ops[t] = calibrate(types[t], duration);
-    util::RunningStats stats;
-    for (int rep = 0; rep < reps; ++rep) {
-      stats.add(wl::run_load(base_options(types[t], ops[t])).ops_per_second);
-    }
-    baseline[t] = stats.mean();
   }
 
   std::vector<std::vector<double>> grid;
@@ -90,19 +87,22 @@ int main(int argc, char** argv) {
                 static_cast<double>(interval) / 1e6);
     std::vector<double> row;
     for (std::size_t t = 0; t < types.size(); ++t) {
-      util::RunningStats ratios;
+      util::Samples ratios;
       for (int rep = 0; rep < reps; ++rep) {
+        const wl::LoadResult off = wl::run_load(base_options(types[t], ops[t]));
         wl::LoadOptions options = base_options(types[t], ops[t]);
         options.instrumentation = rt::Instrumentation::kFull;
         options.periodic_checking = true;
         options.check_period = interval;
-        const wl::LoadResult run = wl::run_load(options);
-        if (run.ops_per_second > 0) {
-          ratios.add(baseline[t] / run.ops_per_second);
+        const wl::LoadResult on = wl::run_load(options);
+        if (on.ops_per_second > 0) {
+          ratios.add(off.ops_per_second / on.ops_per_second);
         }
       }
-      row.push_back(ratios.mean());
-      std::printf("%8.3fx            ", ratios.mean());
+      const double median = ratios.percentile(50);
+      row.push_back(median);
+      std::printf("%.3fx [%.2f-%.2f]  ", median, ratios.percentile(25),
+                  ratios.percentile(75));
       std::fflush(stdout);
     }
     grid.push_back(row);

@@ -24,8 +24,6 @@ int main(int argc, char** argv) {
   flags.define("interval-ms", "100", "checking interval T (milliseconds)");
   flags.define("instrumented", "true",
                "false = bare monitor, no gathering or checking");
-  flags.define("hold-gate", "true",
-               "suspend monitor traffic for the whole check (paper mode)");
   if (!flags.parse(argc, argv)) return 2;
 
   wl::LoadOptions options;
@@ -38,7 +36,6 @@ int main(int argc, char** argv) {
                                 ? rt::Instrumentation::kFull
                                 : rt::Instrumentation::kOff;
   options.periodic_checking = flags.boolean("instrumented");
-  options.hold_gate_during_check = flags.boolean("hold-gate");
 
   const wl::LoadResult result = wl::run_load(options);
 

@@ -32,12 +32,14 @@ int main() {
   wl::BoundedBuffer buffer(monitor, 4, injection);
   monitor.start_checking();
 
-  // A producer that outruns its consumer: the buffer will fill, and the
-  // injected fault will make one Send push anyway instead of waiting.
+  // A producer that outruns its consumer: the consumer starts only once
+  // the buffer is full, and the injected fault makes the next Send push
+  // anyway instead of waiting.
   std::thread producer([&] {
     for (std::int64_t i = 0; i < 200; ++i) buffer.send(/*pid=*/1, i);
   });
   std::thread consumer([&] {
+    while (buffer.size() < buffer.capacity()) std::this_thread::yield();
     std::int64_t item = 0;
     for (std::int64_t i = 0; i < 200; ++i) buffer.receive(/*pid=*/2, &item);
   });

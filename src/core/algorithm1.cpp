@@ -94,12 +94,17 @@ std::size_t run_algorithm1(const CheckContext& ctx,
   (void)note;
 
   CheckingLists lists = CheckingLists::from_state(prev);
+  // Entries on Enter-0-List and every Wait-Cond-List, kept in step with the
+  // pushes and pops below, so the ST-4 scan runs only while somebody is
+  // recorded as blocked; an uncontended segment never pays for it.
+  std::size_t blocked = lists.enter_zero.size();
+  for (const auto& [cond, queue] : lists.wait_cond) blocked += queue.size();
 
   // --- Step 1: replay L over the checking lists. ---------------------------
   for (const auto& ev : events) {
     // ST-Rule 4: an event cannot come from a process currently parked on
     // the entry queue or a condition queue.
-    if (lists.pid_blocked(ev.pid)) {
+    if (blocked != 0 && lists.pid_blocked(ev.pid)) {
       ++violations;
       report(ctx, RuleId::kSt4EventFromBlockedProcess, std::nullopt, &ev,
              "event issued by a process recorded as blocked");
@@ -132,6 +137,7 @@ std::size_t run_algorithm1(const CheckContext& ctx,
                    "entry blocked while the monitor was free");
           }
           lists.enter_zero.push_back({ev.pid, ev.proc, ev.time});
+          ++blocked;
         }
         break;
       }
@@ -144,11 +150,13 @@ std::size_t run_algorithm1(const CheckContext& ctx,
         }
         lists.remove_running(ev.pid);
         lists.wait_cond[ev.cond].push_back({ev.pid, ev.proc, ev.time});
+        ++blocked;
         // The monitor is released: the head of Enter-0-List (if any) is
         // admitted (FD-Rule 1.b).
         if (!lists.enter_zero.empty()) {
           ListEntry admitted = lists.enter_zero.front();
           lists.enter_zero.pop_front();
+          --blocked;
           admitted.since = ev.time;
           lists.running.push_back(admitted);
         }
@@ -178,6 +186,7 @@ std::size_t run_algorithm1(const CheckContext& ctx,
           } else {
             ListEntry resumed = queue_it->second.front();
             queue_it->second.pop_front();
+            --blocked;
             resumed.since = ev.time;
             lists.running.push_back(resumed);
           }
@@ -187,6 +196,7 @@ std::size_t run_algorithm1(const CheckContext& ctx,
           if (!lists.enter_zero.empty()) {
             ListEntry admitted = lists.enter_zero.front();
             lists.enter_zero.pop_front();
+            --blocked;
             admitted.since = ev.time;
             lists.running.push_back(admitted);
           }

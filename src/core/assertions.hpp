@@ -23,7 +23,7 @@
 namespace robmon::core {
 
 /// Predicate over the scheduling state at a checking point.  Must be pure
-/// and fast; it runs with the monitor quiesced.
+/// and fast; it runs on the captured state.
 using AssertionFn = std::function<bool(const trace::SchedulingState&)>;
 
 struct MonitorAssertion {

@@ -39,8 +39,8 @@ class Detector {
   /// the detector must restart from the post-action state as if freshly
   /// initialized: previous state replaced, Request-List and cumulative
   /// resource counters cleared.  The caller must drain (discard) the event
-  /// segment spanning the action; rt::CheckerPool does both under the
-  /// monitor's checker gate.  Lifetime counters (checks_run, ...) persist.
+  /// segment spanning the action; rt::CheckerPool does both from one
+  /// EventSink::capture().  Lifetime counters (checks_run, ...) persist.
   void rebaseline(const trace::SchedulingState& state);
 
   struct CheckStats {

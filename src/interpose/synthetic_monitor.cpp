@@ -189,9 +189,11 @@ void SyntheticMonitor::reset() {
 
 // --- Checker side. -----------------------------------------------------------
 
-void SyntheticMonitor::drain_segment(std::vector<trace::EventRecord>& out) {
+trace::SchedulingState SyntheticMonitor::capture(
+    std::vector<trace::EventRecord>& out) {
   std::lock_guard<std::mutex> lock(queue_mu_);
   log_.drain(out);
+  return snapshot_locked();
 }
 
 std::vector<trace::EventRecord> SyntheticMonitor::history() const {
@@ -200,8 +202,12 @@ std::vector<trace::EventRecord> SyntheticMonitor::history() const {
 }
 
 trace::SchedulingState SyntheticMonitor::snapshot() const {
-  trace::SchedulingState state;
   std::lock_guard<std::mutex> lock(queue_mu_);
+  return snapshot_locked();
+}
+
+trace::SchedulingState SyntheticMonitor::snapshot_locked() const {
+  trace::SchedulingState state;
   state.captured_at = clock_->now_ns();
   if (kind_ == Kind::kMutex) {
     state.entry_queue = entry_queue_;

@@ -9,8 +9,8 @@
 // parked on that condition".  SyntheticMonitor adapts those observations
 // into the same ingestion surface the native HoareMonitor feeds
 // (rt::EventSink): a reduced-model event segment (recorded only when trace
-// retention is on — see Config::retain_history), a <EQ, CQ[], holders,
-// Running> snapshot with per-episode tickets, and a checker gate — so the
+// retention is on — see Config::retain_history) and a <EQ, CQ[], holders,
+// Running> snapshot with per-episode tickets, captured together — so the
 // CheckerPool's cross-monitor analyses (wait-for cycle confirmation,
 // lock-order prediction) run unchanged over an unmodified binary.
 //
@@ -30,8 +30,8 @@
 // mutex: lock_acquired runs after the real lock returns and unlocked runs
 // before the real unlock.  So the owner fields need no robmon lock.  They
 // are atomics behind a single-writer seqlock version word (release stores
-// and acquire loads, plain moves on x86), and snapshot() reads them with
-// a retry loop.  An unlock by a non-owner reads
+// and acquire loads, plain moves on x86), and snapshot() and capture()
+// read them with a retry loop.  An unlock by a non-owner reads
 // the owner tid and does nothing; a reset() racing a holder means the host
 // destroyed a locked mutex, which POSIX leaves undefined.
 //
@@ -65,7 +65,6 @@
 
 #include "core/monitor_spec.hpp"
 #include "runtime/event_sink.hpp"
-#include "sync/gate.hpp"
 #include "trace/event.hpp"
 #include "trace/event_log.hpp"
 #include "trace/snapshot.hpp"
@@ -122,8 +121,9 @@ class SyntheticMonitor final : public rt::EventSink {
 
   const core::MonitorSpec& spec() const override { return spec_; }
   const trace::SymbolTable& symbols() const override { return symbols_; }
-  sync::CheckerGate& gate() override { return gate_; }
-  void drain_segment(std::vector<trace::EventRecord>& out) override;
+  /// Drain and snapshot under one queue_mu_ hold; the owner fields come
+  /// through the seqlock, as in snapshot().
+  trace::SchedulingState capture(std::vector<trace::EventRecord>& out) override;
   std::uint64_t events_lost() const override { return log_.events_lost(); }
   trace::SchedulingState snapshot() const override;
 
@@ -156,6 +156,8 @@ class SyntheticMonitor final : public rt::EventSink {
   bool release_owner(Tid tid);
   /// Append to the log when recording.  queue_mu_ held.
   void record(const trace::EventRecord& event);
+  /// snapshot() / capture() body.  queue_mu_ held.
+  trace::SchedulingState snapshot_locked() const;
   /// Remove `tid`'s entry from `queue`, if any.  queue_mu_ held.
   static void erase_entry(std::vector<trace::QueueEntry>& queue, Tid tid);
   std::uint64_t new_ticket() {
@@ -171,8 +173,6 @@ class SyntheticMonitor final : public rt::EventSink {
   trace::SymbolId proc_signal_ = trace::kNoSymbol;
   trace::SymbolId cond_sym_ = trace::kNoSymbol;
   const bool recording_;
-
-  sync::CheckerGate gate_;
 
   /// Owner state: written only by the thread holding the host mutex,
   /// read by snapshot() under the seqlock (version odd while a write is in

@@ -23,6 +23,10 @@ constexpr double kIdleEventsEwma = 0.5;
 /// EWMA weight of the newest drained segment size in the idle estimate.
 constexpr double kEventsEwmaAlpha = 0.25;
 
+/// Segment buffers up to this many events of capacity are always recycled;
+/// a larger one is recycled only while its segment fills a quarter of it.
+constexpr std::size_t kKeptSegmentCapacity = 4096;
+
 /// Deadlines and durations are backend wall-clock: Options::clock only feeds
 /// the detection rules, so a frozen ManualClock must not stall the cadence.
 /// Under SimBackend this is the scheduler's virtual clock, which only a
@@ -385,65 +389,63 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
                                                   bool* occupied_out) {
   const util::TimeNs started = wall_now();
   std::vector<trace::EventRecord>& segment = entry.segment;
-  std::optional<trace::SchedulingState> state;
-  core::Detector::CheckStats stats;
+  // One atomic capture stands in for the paper's suspension: the segment
+  // and the state belong to one instant, and everything below reads only
+  // these private copies, so the monitor keeps serving meanwhile.
+  const trace::SchedulingState state = entry.monitor->capture(segment);
+  const util::TimeNs captured = wall_now();
   // While a monitor is recovery-poisoned its traffic is out-of-band by
   // definition (evictions and would-block rejections record no events,
   // but admitted non-blocking calls still record theirs), so replaying
   // the window's segment would fabricate ST violations.  Detection is
-  // suspended for the window — segment drained and discarded, snapshot
-  // still taken (the wait-for/order contributions stay fresh) — and
+  // suspended for the window — segment drained and discarded, state still
+  // captured (the wait-for/order contributions stay fresh) — and
   // complete_recoveries() re-baselines the detector when service is
   // restored.  recovery_poisoned() is stable across this function: the
   // poison/unpoison transitions run under entry.check_mu, which every
   // caller of run_check holds.
-  bool suppressed = false;
-  // Detector-less sinks (interposition adapters) skip the per-monitor
-  // algorithms — their synthetic stream is not a faithful Hoare history and
-  // Algorithms 1-3 would fabricate ST violations over it — but still feed
-  // the cadence controller (segment size) and, below, the pool-level
-  // wait-for and lock-order contributions.
-  const auto evaluate = [&] {
-    if (suppressed) return;
-    if (entry.detector != nullptr) {
-      stats = entry.detector->check(segment, *state, rule_now);
-    } else {
-      stats.events = segment.size();
-      stats.idle = segment.empty();
-    }
-  };
-  // Paper mode keeps monitor traffic suspended through the algorithms;
-  // otherwise the gate reopens right after drain + snapshot.
-  const bool hold = entry.options.hold_gate_during_check;
-  {
-    sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-    entry.monitor->drain_segment(segment);
-    state = entry.monitor->snapshot();
-    suppressed = entry.monitor->recovery_poisoned();
-    if (hold) evaluate();
+  core::Detector::CheckStats stats;
+  if (entry.monitor->recovery_poisoned()) {
+    stats.idle = true;
+  } else if (entry.detector != nullptr) {
+    stats = entry.detector->check(segment, state, rule_now);
+  } else {
+    // Detector-less sinks (interposition adapters) skip the per-monitor
+    // algorithms — their synthetic stream is not a faithful Hoare history
+    // and Algorithms 1-3 would fabricate ST violations over it — but still
+    // feed the cadence controller (segment size) and, below, the pool-level
+    // wait-for and lock-order contributions.
+    stats.events = segment.size();
+    stats.idle = segment.empty();
   }
-  const util::TimeNs gate_released = wall_now();
-  if (!hold) evaluate();
-  if (suppressed) stats.idle = true;
   const util::TimeNs finished = wall_now();
   checks_executed_.fetch_add(1, std::memory_order_relaxed);
-  total_quiesce_ns_.fetch_add(
-      static_cast<std::uint64_t>(gate_released - started),
-      std::memory_order_relaxed);
+  total_quiesce_ns_.fetch_add(static_cast<std::uint64_t>(captured - started),
+                              std::memory_order_relaxed);
   total_check_ns_.fetch_add(static_cast<std::uint64_t>(finished - started),
                             std::memory_order_relaxed);
   if (occupied_out != nullptr) {
-    *occupied_out = state->has_running() || state->blocked_count() > 0;
+    *occupied_out = state.has_running() || state.blocked_count() > 0;
   }
-  if (waitfor_enabled()) contribute_wait_edges(entry, *state);
+  if (waitfor_enabled()) contribute_wait_edges(entry, state);
   if (lockorder_enabled() && !budget_.shed_prediction()) {
     // Shed with the prediction checkpoint: the per-check fold is the other
     // half of prediction's cost (the observe() join).  Edges missed while
     // shed are simply not recorded — the relation is advisory, and the
     // certified-interval join never fabricates, so resuming is safe.
-    contribute_lock_order(entry, *state);
+    contribute_lock_order(entry, state);
   }
-  if (entry.options.on_checkpoint) entry.options.on_checkpoint(*state);
+  if (entry.options.on_checkpoint) entry.options.on_checkpoint(state);
+  // The two buffers that circulate between the log and entry.segment keep
+  // the largest capacity either ever needed.  A check delayed by a few
+  // periods drains a burst many times the usual segment, and without this
+  // every busy monitor would hold two burst-sized buffers for good.
+  if (segment.capacity() > kKeptSegmentCapacity &&
+      segment.capacity() > 4 * segment.size()) {
+    std::vector<trace::EventRecord> smaller;
+    smaller.reserve(2 * segment.size());
+    segment.swap(smaller);
+  }
   return stats;
 }
 
@@ -720,11 +722,8 @@ void CheckerPool::rebaseline_entry(Entry& entry) {
   // Discard the segment spanning the action and restart the detector from
   // the post-action state.  The caller holds entry.check_mu, so no worker
   // check interleaves between the action and the new baseline.
-  sync::CheckerGate::ExclusiveScope quiesce(entry.monitor->gate());
-  entry.monitor->drain_segment(entry.segment);
-  if (entry.detector != nullptr) {
-    entry.detector->rebaseline(entry.monitor->snapshot());
-  }
+  const trace::SchedulingState state = entry.monitor->capture(entry.segment);
+  if (entry.detector != nullptr) entry.detector->rebaseline(state);
 }
 
 void CheckerPool::act_on_confirmed_cycle(const core::DeadlockCycle& cycle) {

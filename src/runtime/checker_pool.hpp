@@ -7,11 +7,13 @@
 // M mostly-idle threads.  The pool inverts the structure: K worker threads
 // (K bounded by hardware concurrency, configurable) share a min-heap of
 // registered monitors ordered by next check deadline (spec.check_period
-// cadence).  When a monitor comes due, one worker quiesces it through *its
-// own* checker gate, drains its event segment, snapshots its scheduling
-// state and runs its Detector — no global stop-the-world across monitors,
-// and the suspend-vs-concurrent choice (hold_gate_during_check) is a
-// per-monitor policy, not a property of the engine.
+// cadence).  When a monitor comes due, one worker captures it —
+// EventSink::capture() drains the event segment and snapshots the
+// scheduling state under one hold of the monitor's own lock — and runs its
+// Detector on those private copies.  That capture is the whole of the
+// paper's "suspend every process while checking": there is no global
+// stop-the-world across monitors, and the monitor keeps serving while
+// Algorithms 1-3 run.
 //
 // Batched dispatch: a dispatching worker pops not just the due head but
 // every monitor due within one check-period quantum of the head monitor,
@@ -91,7 +93,7 @@
 // so cooperating call sites re-order (or fence) before the cycle can ever
 // close.  Exactly one action fires per reported cycle.  After a poison or
 // delivery the affected monitor's Detector is re-baselined
-// (Detector::rebaseline) under its checker gate — recovery transitions are
+// (Detector::rebaseline) from a fresh capture — recovery transitions are
 // out-of-band and must not surface as ST-Rule false positives.  Every
 // action (and every unpoison) is appended to recovery_log() as a trace
 // codec v4 `rcov` record and reported to Options::recovery.sink (rule RC).
@@ -149,6 +151,7 @@
 #include "core/waitfor.hpp"
 #include "runtime/budget.hpp"
 #include "sync/backend.hpp"
+#include "sync/gate.hpp"
 #include "runtime/event_sink.hpp"
 #include "trace/codec.hpp"
 
@@ -207,9 +210,6 @@ class CheckerPool {
 
   /// Per-monitor checking policy.
   struct MonitorOptions {
-    /// Keep monitor traffic suspended while the algorithms run (paper
-    /// behaviour).  false = release the gate right after the snapshot.
-    bool hold_gate_during_check = true;
     /// Adaptive cadence ceiling: while the monitor is idle (no drained
     /// events, nobody running or queued), its effective check period
     /// stretches up to check_period × max_stretch.  1.0 = fixed cadence.
@@ -250,7 +250,7 @@ class CheckerPool {
   /// event stream is not a faithful Hoare-monitor history (the LD_PRELOAD
   /// interposition adapter's synthetic monitors): Algorithms 1-3 would
   /// fabricate ST violations over a synthetic stream, so the per-check
-  /// work reduces to drain + snapshot + the pool-level wait-for and
+  /// work reduces to the capture + the pool-level wait-for and
   /// lock-order contributions, which are exactly the analyses that fire
   /// through the shim.  Cadence and the timer clamp come from
   /// source.spec(); every lifecycle and checkpoint behaviour is identical.
@@ -334,9 +334,10 @@ class CheckerPool {
   std::uint64_t checks_coalesced() const {
     return checks_coalesced_.load(std::memory_order_relaxed);
   }
-  /// Cumulative wall time the checker gate was held exclusively (in hold-
-  /// gate mode that spans the whole detector run; otherwise just drain +
-  /// snapshot), and wall time of the full checking routine, in nanoseconds.
+  /// Cumulative wall time from check start to the end of the capture
+  /// (EventSink::capture: drain + snapshot under the monitor's lock, plus
+  /// the wait for that lock), and wall time of the full checking routine,
+  /// in nanoseconds.
   std::uint64_t total_quiesce_ns() const {
     return total_quiesce_ns_.load(std::memory_order_relaxed);
   }
@@ -444,11 +445,12 @@ class CheckerPool {
     /// Checks currently executing against this entry (worker or check_now).
     int busy = 0;
     /// Serializes the actual checking routine per monitor.  Backend mutex:
-    /// held across the gate quiesce, which blocks.
+    /// held across the capture and the recovery actuators, which block.
     sync::BackendMutex check_mu;
-    /// The last drained segment (check_mu).  drain_segment() swaps it with
+    /// The last drained segment (check_mu).  capture() swaps it with
     /// the sink's pending buffer, so the two buffers are recycled instead
-    /// of reallocated every check.
+    /// of reallocated every check (run_check shrinks one a burst left
+    /// oversized).
     std::vector<trace::EventRecord> segment;
   };
 
@@ -514,9 +516,9 @@ class CheckerPool {
   /// unpin_entry() the result.
   Entry* pin_entry(MonitorId id);
   void unpin_entry(Entry* entry);
-  /// Drain the monitor's segment and re-baseline its detector under the
-  /// checker gate — recovery transitions are out-of-band and must not
-  /// surface as ST-Rule violations.
+  /// Drain the monitor's segment and re-baseline its detector from the same
+  /// capture — recovery transitions are out-of-band and must not surface
+  /// as ST-Rule violations.
   void rebaseline_entry(Entry& entry);
   /// Actuate the policy's decision for a newly reported confirmed cycle.
   void act_on_confirmed_cycle(const core::DeadlockCycle& cycle);

@@ -2,12 +2,12 @@
 // the detection engine.
 //
 // rt::CheckerPool consumes a narrow surface from whatever it checks: a
-// spec (name + timer thresholds + cadence), an interned symbol table, a
-// checker gate to quiesce through, the event segment recorded since the
-// last checking point, a scheduling-state snapshot, a loss count, and —
-// when recovery is attached — four actuation hooks.  That surface used to
-// be HoareMonitor's concrete API, which tied every ingestion path to the
-// native monitor implementation.  EventSink extracts it as an abstract
+// spec (name + timer thresholds + cadence), an interned symbol table, an
+// atomic capture of the event segment recorded since the last checking
+// point together with the scheduling state it ends in, a live snapshot, a
+// loss count, and — when recovery is attached — four actuation hooks.
+// That surface used to be HoareMonitor's concrete API, which tied every
+// ingestion path to the native monitor implementation.  EventSink extracts it as an abstract
 // interface so external instrumentation (the LD_PRELOAD interposition
 // backend's synthetic monitors, or any embedder's adapter) can feed the
 // same pool without touching EventLog/Detector internals.
@@ -21,13 +21,18 @@
 // EventSink, so native monitors and synthetic ones are pool-identical.
 //
 // Contract:
-//   * spec()/symbols()/gate() must be stable for the registration lifetime
-//     (the pool holds references across checks).
-//   * drain_segment(out) and snapshot() are called with the gate held
-//     exclusively (hold_gate_during_check) or back-to-back under it; a
-//     snapshot must reflect every event already drained — the wait-for
-//     validation passes re-snapshot and require episode tickets to be
-//     stable for an uninterrupted wait/hold (see core/waitfor.hpp).
+//   * spec()/symbols() must be stable for the registration lifetime (the
+//     pool holds references across checks).
+//   * capture(out) is atomic with respect to every recorded operation: the
+//     drained segment and the returned state belong to one instant, so no
+//     operation is in the segment but missing from the state, or the other
+//     way round.  This is the paper's "suspend every process while
+//     checking" (Section 4), narrowed to the moment of the copy: the
+//     detection algorithms then run on the private copies while the
+//     monitor keeps serving.
+//   * snapshot() is a live read for the wait-for validation passes, which
+//     re-snapshot and require episode tickets to be stable for an
+//     uninterrupted wait/hold (see core/waitfor.hpp).
 //   * Episode tickets: entry_queue / cond_queues / holders / running_ticket
 //     entries carry per-monitor monotonic tickets, bumped once per blocking
 //     episode / ownership / hold — clock-independent episode identity.
@@ -39,7 +44,6 @@
 #include <vector>
 
 #include "core/monitor_spec.hpp"
-#include "sync/gate.hpp"
 #include "trace/event.hpp"
 #include "trace/snapshot.hpp"
 
@@ -56,25 +60,22 @@ class EventSink {
   /// Intern table resolving the proc/cond ids in events and snapshots.
   virtual const trace::SymbolTable& symbols() const = 0;
 
-  /// Quiesce gate: the pool takes the exclusive side around
-  /// drain_segment(out) + snapshot(); producers hold the shared side, or
-  /// serialize against drain and snapshot by other means (the
-  /// interposition adapter's queue lock and owner seqlock).
-  virtual sync::CheckerGate& gate() = 0;
-
   /// Replace `out` with every event recorded since the previous checking
-  /// point, in the order the detection algorithms may replay them.  The
-  /// caller passes the same vector on every check, so an implementation
-  /// that swaps buffers (EventLog::drain) recycles its storage instead of
-  /// copying events.
-  virtual void drain_segment(std::vector<trace::EventRecord>& out) = 0;
+  /// point, in the order the detection algorithms may replay them, and
+  /// return the scheduling state <EQ, CQ[], R#, holders, Running> those
+  /// events end in — both under one hold of the lock that serializes the
+  /// source's operations (see the contract above).  The caller passes the
+  /// same vector on every check, so an implementation that swaps buffers
+  /// (EventLog::drain) recycles its storage instead of copying events.
+  virtual trace::SchedulingState capture(
+      std::vector<trace::EventRecord>& out) = 0;
 
   /// Events dropped by the ingestion path's overflow contract — exact
   /// accounting, never a silent gap (EventLog::events_lost()).
   virtual std::uint64_t events_lost() const = 0;
 
-  /// Current scheduling state <EQ, CQ[], R#, holders, Running>.  Must
-  /// incorporate every operation visible to a completed drain_segment().
+  /// Current scheduling state, read live (the wait-for passes' episode
+  /// validation).  Incorporates every operation of a completed capture().
   virtual trace::SchedulingState snapshot() const = 0;
 
   // --- Recovery actuation (optional; defaults are inert). -------------------

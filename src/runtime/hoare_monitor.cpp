@@ -127,8 +127,6 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
   Waiter self{pid, proc_id, 0, 0, false, {}};
   bool must_park = false;
   {
-    std::optional<sync::CheckerGate::SharedScope> gate_scope;
-    if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
     std::lock_guard<sync::SpinLock> lock(mu_);
     StateTraceScope trace_scope(*this);
     if (poisoned_) return Status::kPoisoned;
@@ -200,8 +198,6 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
   Waiter self{pid, trace::kNoSymbol, 0, 0, false, {}};
   bool must_park = false;
   {
-    std::optional<sync::CheckerGate::SharedScope> gate_scope;
-    if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
     std::lock_guard<sync::SpinLock> lock(mu_);
     StateTraceScope trace_scope(*this);
     if (poisoned_) return Status::kPoisoned;
@@ -316,8 +312,6 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
   Waiter* wake_first = nullptr;
   Waiter* wake_second = nullptr;
   {
-    std::optional<sync::CheckerGate::SharedScope> gate_scope;
-    if (instrumentation_ == Instrumentation::kFull) gate_scope.emplace(gate_);
     std::lock_guard<sync::SpinLock> lock(mu_);
     StateTraceScope trace_scope(*this);
     if (poisoned_) return;
@@ -400,9 +394,11 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
   if (wake_second != nullptr) wake_second->sem.release();
 }
 
-void HoareMonitor::drain_segment(std::vector<trace::EventRecord>& out) {
+trace::SchedulingState HoareMonitor::capture(
+    std::vector<trace::EventRecord>& out) {
   std::lock_guard<sync::SpinLock> lock(mu_);
   log_.drain(out);
+  return snapshot_locked();
 }
 
 std::vector<trace::EventRecord> HoareMonitor::history() const {

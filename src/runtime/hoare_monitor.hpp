@@ -1,16 +1,17 @@
 // Real-thread Hoare monitor with combined Signal-Exit, built from the
 // sync substrate (spinlock + per-waiter binary semaphores), with explicit
 // entry / condition queues, data-gathering instrumentation (Fig. 1),
-// fault-injection hooks, and a checker gate implementing the paper's
-// "suspend all processes while checking".
+// fault-injection hooks, and an atomic capture() standing in for the
+// paper's "suspend all processes while checking": the drain and the
+// snapshot share one hold of the monitor's lock.
 //
 // Blocking protocol: a process that must block allocates a Waiter on its own
-// stack, enqueues it under the internal lock, releases the lock (and the
-// checker gate), then parks on the Waiter's semaphore.  The process that
-// wakes it transfers monitor ownership *before* releasing the semaphore
-// (Hoare hand-off), so there is never a moment when the monitor is free but
-// claimed.  poison() releases every parked waiter with kPoisoned so that
-// fault-injection tests can unwind cleanly.
+// stack, enqueues it under the internal lock, releases the lock, then parks
+// on the Waiter's semaphore.  The process that wakes it transfers monitor
+// ownership *before* releasing the semaphore (Hoare hand-off), so there is
+// never a moment when the monitor is free but claimed.  poison() releases
+// every parked waiter with kPoisoned so that fault-injection tests can
+// unwind cleanly.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@
 #include "core/monitor_spec.hpp"
 #include "inject/injection.hpp"
 #include "runtime/event_sink.hpp"
-#include "sync/gate.hpp"
 #include "sync/semaphore.hpp"
 #include "sync/spinlock.hpp"
 #include "trace/event.hpp"
@@ -48,8 +48,8 @@ enum class Status {
 /// What the augmented construct adds on top of the bare monitor; kOff gives
 /// the paper's "monitor operations without the extension" baseline.
 enum class Instrumentation {
-  kFull,  ///< Gathering + checker gate (detection-ready).
-  kOff,   ///< Bare monitor; no events, no gate.
+  kFull,  ///< Gathering (detection-ready).
+  kOff,   ///< Bare monitor; no events.
 };
 
 /// Signalling discipline.  The paper's model is Hoare with combined
@@ -124,10 +124,11 @@ class HoareMonitor : public EventSink {
   trace::SymbolTable& symbols() { return symbols_; }
   const trace::SymbolTable& symbols() const override { return symbols_; }
   const core::MonitorSpec& spec() const override { return spec_; }
-  sync::CheckerGate& gate() override { return gate_; }
-  /// EventSink ingestion surface: an O(1) buffer swap under mu_, in the
-  /// append order Algorithm-1's segment replay depends on.
-  void drain_segment(std::vector<trace::EventRecord>& out) override;
+  /// EventSink ingestion surface: an O(1) buffer swap, in the append order
+  /// Algorithm-1's segment replay depends on, plus snapshot_locked(), both
+  /// under one hold of mu_ — every primitive runs under mu_, so no
+  /// operation falls between the segment and the state.
+  trace::SchedulingState capture(std::vector<trace::EventRecord>& out) override;
   std::uint64_t events_lost() const override { return log_.events_lost(); }
   Instrumentation instrumentation() const { return instrumentation_; }
   Semantics semantics() const { return semantics_; }
@@ -238,7 +239,6 @@ class HoareMonitor : public EventSink {
   /// Owner-serialized by mu_: every append, drain and history read happens
   /// under it (see EventLog's contract).
   trace::EventLog log_;
-  sync::CheckerGate gate_;
 
   mutable sync::SpinLock mu_;
   std::optional<trace::Pid> owner_;

@@ -14,7 +14,6 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
                options.retain_trace),
       detector_(monitor_.spec(), monitor_.symbols(), sink) {
   CheckerPool::MonitorOptions policy;
-  policy.hold_gate_during_check = options_.hold_gate_during_check;
   policy.max_stretch = options_.cadence_max_stretch;
   policy.instrumentation = options_.check_instrumentation;
   if (options_.retain_trace) {

@@ -46,8 +46,6 @@ class RobustMonitor {
     Instrumentation instrumentation = Instrumentation::kFull;
     /// Signalling discipline; Mesa exists for bench/ablation_semantics.
     Semantics semantics = Semantics::kHoareSignalExit;
-    /// Keep monitor traffic suspended for the whole check (paper mode).
-    bool hold_gate_during_check = true;
     /// Adaptive check cadence: while this monitor is idle its effective
     /// check period stretches up to check_period × cadence_max_stretch
     /// (see CheckerPool::MonitorOptions::max_stretch).  1.0 = fixed.
@@ -139,9 +137,8 @@ class RobustMonitor {
  private:
   /// Inline instrumentation: run the checking routine on this (calling)
   /// thread if the effective check period has elapsed.  Called at the two
-  /// points where the caller has just left the monitor (exit, signal_exit)
-  /// — never from inside it, where the caller's own presence would deadlock
-  /// the checker-gate quiesce.
+  /// points where the caller has just left the monitor (exit, signal_exit),
+  /// so a check never captures its own caller mid-procedure.
   void poll_inline_check();
 
   void advance_order_matcher(trace::Pid pid, const std::string& procedure);

@@ -4,34 +4,6 @@
 
 namespace robmon::sync {
 
-void CheckerGate::enter_shared() {
-  std::unique_lock<BackendMutex> lock(mu_);
-  cv_.wait(lock, [&] { return !exclusive_held_ && writers_waiting_ == 0; });
-  ++shared_holders_;
-}
-
-void CheckerGate::exit_shared() {
-  std::lock_guard<BackendMutex> lock(mu_);
-  --shared_holders_;
-  if (shared_holders_ == 0) cv_.notify_all();
-}
-
-void CheckerGate::enter_exclusive() {
-  std::unique_lock<BackendMutex> lock(mu_);
-  ++writers_waiting_;
-  cv_.wait(lock, [&] { return !exclusive_held_ && shared_holders_ == 0; });
-  --writers_waiting_;
-  exclusive_held_ = true;
-}
-
-void CheckerGate::exit_exclusive() {
-  {
-    std::lock_guard<BackendMutex> lock(mu_);
-    exclusive_held_ = false;
-  }
-  cv_.notify_all();
-}
-
 void Gate::impose(std::vector<std::string> order,
                   std::vector<trace::Pid> fenced) {
   std::lock_guard<BackendMutex> lock(mu_);

@@ -1,13 +1,4 @@
-// Checker gate: the portable substitute for the paper's "upon detection, all
-// other running processes are suspended and are resumed only after the
-// checking has finished" (Section 4).
-//
-// Monitor primitives hold the *shared* side for the duration of their queue
-// manipulation; the periodic checker takes the *exclusive* side before taking
-// a snapshot and running the detection algorithms.  Writer priority ensures a
-// busy monitor cannot starve the checker.  The observable guarantee is the
-// same as thread suspension: no monitor primitive is mid-flight while the
-// checker reads state.
+// Recovery fence: the actuator of the impose-order remedy (see Gate below).
 #pragma once
 
 #include <cstdint>
@@ -20,56 +11,6 @@
 #include "trace/event.hpp"
 
 namespace robmon::sync {
-
-class CheckerGate {
- public:
-  CheckerGate() = default;
-  CheckerGate(const CheckerGate&) = delete;
-  CheckerGate& operator=(const CheckerGate&) = delete;
-
-  /// Shared side: many monitor primitives may hold it concurrently.
-  void enter_shared();
-  void exit_shared();
-
-  /// Exclusive side: blocks until all shared holders drain; new shared
-  /// entrants queue behind the checker (writer priority).
-  void enter_exclusive();
-  void exit_exclusive();
-
-  /// RAII helpers.
-  class SharedScope {
-   public:
-    explicit SharedScope(CheckerGate& gate) : gate_(gate) {
-      gate_.enter_shared();
-    }
-    ~SharedScope() { gate_.exit_shared(); }
-    SharedScope(const SharedScope&) = delete;
-    SharedScope& operator=(const SharedScope&) = delete;
-
-   private:
-    CheckerGate& gate_;
-  };
-
-  class ExclusiveScope {
-   public:
-    explicit ExclusiveScope(CheckerGate& gate) : gate_(gate) {
-      gate_.enter_exclusive();
-    }
-    ~ExclusiveScope() { gate_.exit_exclusive(); }
-    ExclusiveScope(const ExclusiveScope&) = delete;
-    ExclusiveScope& operator=(const ExclusiveScope&) = delete;
-
-   private:
-    CheckerGate& gate_;
-  };
-
- private:
-  BackendMutex mu_;
-  BackendCondVar cv_;
-  std::int64_t shared_holders_ = 0;
-  std::int64_t writers_waiting_ = 0;
-  bool exclusive_held_ = false;
-};
 
 /// Recovery fence (the actuator of the impose-order remedy): call sites
 /// that acquire several monitors wrap the whole acquisition region in a

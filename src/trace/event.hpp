@@ -61,28 +61,29 @@ std::string_view to_string(EventKind kind);
 ///  kSignalExit: proc = procedure executing; cond = condition signalled
 ///               (kNoSymbol for a plain Exit); flag = true iff a process
 ///               waiting on CQ[cond] was resumed by this signal.
+///
+/// The one-byte fields sit together at the end, so a record packs into 32
+/// bytes: pending segments are the bulk of a busy monitor's memory.
 struct EventRecord {
   std::uint64_t seq = 0;  ///< Per-monitor sequence number (assigned by log).
   util::TimeNs time = 0;  ///< Gathering-routine timestamp.
-  EventKind kind = EventKind::kEnter;
   Pid pid = kNoPid;
   SymbolId proc = kNoSymbol;
   SymbolId cond = kNoSymbol;
+  EventKind kind = EventKind::kEnter;
   bool flag = false;
 
   static EventRecord enter(Pid pid, SymbolId proc, bool entered,
                            util::TimeNs t) {
-    return EventRecord{0, t, EventKind::kEnter, pid, proc, kNoSymbol, entered};
+    return EventRecord{0, t, pid, proc, kNoSymbol, EventKind::kEnter, entered};
   }
   static EventRecord wait(Pid pid, SymbolId proc, SymbolId cond,
                           util::TimeNs t) {
-    return EventRecord{0, t, EventKind::kWait, pid, proc, cond, false};
+    return EventRecord{0, t, pid, proc, cond, EventKind::kWait, false};
   }
   static EventRecord signal_exit(Pid pid, SymbolId proc, SymbolId cond,
-                                 bool resumed_cond_waiter, util::TimeNs t) {
-    return EventRecord{0,   t,    EventKind::kSignalExit,
-                       pid, proc, cond,
-                       resumed_cond_waiter};
+                                 bool resumed, util::TimeNs t) {
+    return EventRecord{0, t, pid, proc, cond, EventKind::kSignalExit, resumed};
   }
 
   bool operator==(const EventRecord&) const = default;

@@ -51,7 +51,6 @@ LoadResult run_load(const LoadOptions& options) {
   core::CollectingSink sink;
   rt::RobustMonitor::Options monitor_options;
   monitor_options.instrumentation = options.instrumentation;
-  monitor_options.hold_gate_during_check = options.hold_gate_during_check;
   rt::RobustMonitor monitor(make_spec(options), sink, monitor_options);
 
   const bool checking = options.periodic_checking &&
@@ -218,10 +217,6 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
     rt::RobustMonitor::Options monitor_options;
     monitor_options.checker_pool = &pool;
     monitor_options.cadence_max_stretch = options.max_stretch;
-    monitor_options.hold_gate_during_check =
-        options.mix_gate_policies && i % 2 == 1
-            ? !options.hold_gate_during_check
-            : options.hold_gate_during_check;
     monitors.push_back(std::make_unique<rt::RobustMonitor>(
         std::move(spec), *sinks.back(), monitor_options));
 

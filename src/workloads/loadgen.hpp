@@ -26,7 +26,6 @@ struct LoadOptions {
   rt::Instrumentation instrumentation = rt::Instrumentation::kFull;
   bool periodic_checking = true;      ///< Start periodic checking.
   util::TimeNs check_period = 100 * util::kMillisecond;
-  bool hold_gate_during_check = true;
   util::TimeNs t_max = 5 * util::kSecond;   ///< Generous: no false timeouts
   util::TimeNs t_io = 5 * util::kSecond;    ///  under heavy load.
   util::TimeNs t_limit = 5 * util::kSecond;
@@ -60,10 +59,6 @@ struct MultiLoadOptions {
 
   std::size_t pool_threads = 0;   ///< K; 0 = auto (≤ hw).
   util::TimeNs check_period = 5 * util::kMillisecond;
-  /// Per-monitor suspend policy; monitors where (index % 2 == 1) get the
-  /// opposite policy when mix_gate_policies is set, exercising coexistence.
-  bool hold_gate_during_check = true;
-  bool mix_gate_policies = false;
 
   /// Adaptive cadence ceiling per monitor (1.0 = fixed cadence).
   double max_stretch = 1.0;
@@ -87,7 +82,7 @@ struct MultiLoadResult {
   /// cadence keeps up — the bench gates on it.
   std::uint64_t events_lost = 0;
   std::size_t checker_threads = 0;    ///< Detection threads provisioned.
-  double avg_quiesce_us = 0.0;        ///< Gate-exclusive window per check.
+  double avg_quiesce_us = 0.0;        ///< Capture window per check.
   double avg_check_us = 0.0;          ///< Full checking routine per check.
   std::uint64_t dispatches = 0;       ///< Engine dispatches (batches).
   double avg_batch = 0.0;             ///< Checks per dispatch.

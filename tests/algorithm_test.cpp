@@ -170,6 +170,59 @@ TEST_F(ChecklistFixture, St4EventFromBlockedProcess) {
   EXPECT_TRUE(reported(RuleId::kSt4EventFromBlockedProcess));
 }
 
+// ST-4 inside one segment: Algorithm 1 scans for a blocked actor only while
+// it counts somebody as blocked, so each push and pop of Enter-0-List and
+// the Wait-Cond-Lists must move that count.
+TEST_F(ChecklistFixture, St4AfterEnterQueuedInSegment) {
+  SchedulingState prev;
+  prev.running = 1;
+  prev.running_proc = op_;
+  const std::vector<EventRecord> events = {
+      EventRecord::enter(2, op_, false, 1000),  // p2 queues on EQ
+      EventRecord::wait(2, op_, cond_, 1100),   // ... and acts
+  };
+  run1(prev, prev, events);
+  EXPECT_TRUE(reported(RuleId::kSt4EventFromBlockedProcess));
+}
+
+TEST_F(ChecklistFixture, St4AfterWaitInSegment) {
+  SchedulingState prev;
+  prev.running = 2;
+  prev.running_proc = op_;
+  const std::vector<EventRecord> events = {
+      EventRecord::wait(2, op_, cond_, 1000),  // p2 parks on cond
+      EventRecord::signal_exit(2, op_, trace::kNoSymbol, false, 1100),
+  };
+  run1(prev, {}, events);
+  EXPECT_TRUE(reported(RuleId::kSt4EventFromBlockedProcess));
+}
+
+TEST_F(ChecklistFixture, EntryWaiterAdmittedByExitMayAct) {
+  SchedulingState prev;
+  prev.running = 1;
+  prev.running_proc = op_;
+  const std::vector<EventRecord> events = {
+      EventRecord::enter(2, op_, false, 1000),
+      EventRecord::signal_exit(1, op_, trace::kNoSymbol, false, 1100),
+      EventRecord::signal_exit(2, op_, trace::kNoSymbol, false, 1200),
+  };
+  EXPECT_EQ(run1(prev, {}, events), 0u);
+}
+
+TEST_F(ChecklistFixture, CondWaiterResumedBySignalMayAct) {
+  SchedulingState prev;
+  prev.running = 1;
+  prev.running_proc = op_;
+  prev.cond_queues = {{cond_, {{2, op_, 500}}}};
+  const std::vector<EventRecord> events = {
+      EventRecord::signal_exit(1, op_, cond_, true, 1000),  // resumes p2
+      EventRecord::signal_exit(2, op_, trace::kNoSymbol, false, 1100),
+  };
+  SchedulingState cur;
+  cur.cond_queues = {{cond_, {}}};
+  EXPECT_EQ(run1(prev, cur, events), 0u);
+}
+
 TEST_F(ChecklistFixture, St1EntryQueueMismatch) {
   SchedulingState prev;
   prev.running = 1;

@@ -1,7 +1,7 @@
 // CheckerPool engine tests: synchronous checks without workers, deadline
 // ordering across monitors with different cadences, concurrent
-// register/unregister while traffic flows, per-monitor gate policies
-// coexisting in one pool, and regression parity between a monitor's private
+// register/unregister while traffic flows, clean checks captured under
+// live traffic, and regression parity between a monitor's private
 // one-thread pool and a shared pool on injected faults.
 #include <gtest/gtest.h>
 
@@ -172,52 +172,78 @@ TEST(CheckerPoolTest, ConcurrentRegisterUnregisterWhileTrafficFlows) {
   EXPECT_EQ(pool.monitor_count(), 1u);  // churn monitors all unregistered
 }
 
-TEST(CheckerPoolTest, MixedHoldGatePoliciesCoexist) {
+TEST(CheckerPoolTest, CaptureUnderLiveTrafficStaysClean) {
+  // capture() is the only suspension a check imposes: the segment and the
+  // state come from one hold of the monitor's lock, and Algorithms 1-3 then
+  // run while traffic continues.  A capture that let an operation fall
+  // between the two would surface as an ST-1/ST-2/Running mismatch.  One
+  // sender and two receivers at capacity 2 make both "full" and "empty"
+  // waits park; a fourth thread cycles an allocator; a fifth checks both
+  // monitors back-to-back for about half a second.
   CheckerPool pool;
-  CollectingSink hold_sink, concurrent_sink;
-  RobustMonitor::Options hold_options;
-  hold_options.checker_pool = &pool;
-  hold_options.hold_gate_during_check = true;
-  RobustMonitor holder(
-      relaxed_timers(MonitorSpec::coordinator("hold", 4), 2 * kMillisecond),
-      hold_sink, hold_options);
-  RobustMonitor::Options concurrent_options;
-  concurrent_options.checker_pool = &pool;
-  concurrent_options.hold_gate_during_check = false;
-  RobustMonitor concurrent(
-      relaxed_timers(MonitorSpec::coordinator("conc", 4), 2 * kMillisecond),
-      concurrent_sink, concurrent_options);
+  CollectingSink buffer_sink, allocator_sink;
+  RobustMonitor::Options options;
+  options.checker_pool = &pool;
+  RobustMonitor coordinator(
+      relaxed_timers(MonitorSpec::coordinator("buf", 2), 1 * kMillisecond),
+      buffer_sink, options);
+  RobustMonitor allocator_monitor(
+      relaxed_timers(MonitorSpec::allocator("alloc"), 1 * kMillisecond),
+      allocator_sink, options);
+  wl::BoundedBuffer buffer(coordinator, 2);
+  wl::ResourceAllocator allocator(allocator_monitor, 1);
 
-  wl::BoundedBuffer hold_buffer(holder, 4);
-  wl::BoundedBuffer concurrent_buffer(concurrent, 4);
-  holder.start_checking();
-  concurrent.start_checking();
-
-  std::vector<std::thread> threads;
-  for (wl::BoundedBuffer* buffer : {&hold_buffer, &concurrent_buffer}) {
-    threads.emplace_back([buffer] {
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> traffic;
+  // The sender ends with one -1 per receiver; each receiver stops at its
+  // first -1, so nobody is left parked.
+  traffic.emplace_back([&] {
+    for (std::int64_t k = 0; !stop.load(std::memory_order_relaxed); ++k) {
+      if (buffer.send(1, k) != Status::kOk) return;
+    }
+    for (int r = 0; r < 2; ++r) {
+      if (buffer.send(1, -1) != Status::kOk) return;
+    }
+  });
+  for (trace::Pid pid : {2, 3}) {
+    traffic.emplace_back([&buffer, pid] {
       std::int64_t item = 0;
-      for (int k = 0; k < 2000; ++k) {
-        if (buffer->send(1, k) != Status::kOk) return;
-        if (buffer->receive(1, &item) != Status::kOk) return;
-      }
+      do {
+        if (buffer.receive(pid, &item) != Status::kOk) return;
+      } while (item != -1);
     });
   }
-  for (auto& thread : threads) thread.join();
-  holder.stop_checking();
-  concurrent.stop_checking();
-  holder.check_now();
-  concurrent.check_now();
+  traffic.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (allocator.acquire(4) != Status::kOk) return;
+      if (allocator.release(4) != Status::kOk) return;
+    }
+  });
 
-  EXPECT_EQ(hold_sink.count(), 0u);
-  EXPECT_EQ(concurrent_sink.count(), 0u);
-  EXPECT_GE(holder.detector().checks_run(), 1u);
-  EXPECT_GE(concurrent.detector().checks_run(), 1u);
+  // About half a second, and at least 1,000 checks however slowly a
+  // sanitizer build runs them (capped well below the test timeout).
+  const auto checks = [&] {
+    return coordinator.detector().checks_run() +
+           allocator_monitor.detector().checks_run();
+  };
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed = [&] { return std::chrono::steady_clock::now() - start; };
+  while ((elapsed() < std::chrono::milliseconds(500) || checks() < 1000) &&
+         elapsed() < std::chrono::seconds(30)) {
+    coordinator.check_now();
+    allocator_monitor.check_now();
+  }
+  stop.store(true);
+  for (auto& thread : traffic) thread.join();
+  coordinator.check_now();
+  allocator_monitor.check_now();
+
+  EXPECT_EQ(buffer_sink.count(), 0u);
+  EXPECT_EQ(allocator_sink.count(), 0u);
+  EXPECT_GE(checks(), 1000u);
+  EXPECT_GT(coordinator.monitor().log().total_appended(), 0u);
 }
 
-// Regression: a RobustMonitor without a shared pool checks itself on a
-// private one-thread pool, and must detect the injected fault from that
-// pool's *periodic* worker, not only from check_now().
 TEST(CheckerPoolTest, PrivatePoolDetectsInjectedFaultPeriodically) {
   CollectingSink sink;
   inject::ScriptedInjection injection(
@@ -322,7 +348,6 @@ TEST(MultiLoadTest, SharedPoolMissesNothing) {
   options.ops_per_thread = 100;
   options.faulty_monitors = 2;
   options.check_period = 2 * kMillisecond;
-  options.mix_gate_policies = true;
   const wl::MultiLoadResult result = wl::run_multi_load(options);
   EXPECT_EQ(result.missed_detections, 0u);
   EXPECT_EQ(result.faulty_detected, 2u);

@@ -188,7 +188,7 @@ TEST(SyntheticMonitorTest, RetentionRecordsEveryPairWithoutLoss) {
   EXPECT_FALSE(state.has_running());
   // Every acquire/release pair was recorded.
   std::vector<trace::EventRecord> segment;
-  m.drain_segment(segment);
+  m.capture(segment);
   EXPECT_EQ(segment.size(), 128u);
   EXPECT_EQ(m.history().size(), 128u);
 }
@@ -197,7 +197,7 @@ TEST(SyntheticMonitorTest, ConcurrentOwnersKeepSnapshotsConsistent) {
   // Three threads take turns on one monitor through a real mutex — the
   // host serialization the owner seqlock relies on — with recursive
   // acquires and blocked/cancelled episodes mixed in, while a fourth
-  // thread snapshots.  Every snapshot must show a whole owner (Running,
+  // thread captures.  Every capture must show a whole owner (Running,
   // holder, depth and ticket from one ownership) or none.  Both the
   // in-place path and the recording (ROBMON_TRACE) path run.
   for (const bool recording : {false, true}) {
@@ -214,7 +214,7 @@ TEST(SyntheticMonitorTest, ConcurrentOwnersKeepSnapshotsConsistent) {
     std::thread reader([&] {
       std::vector<trace::EventRecord> segment;
       while (running_owners.load(std::memory_order_acquire) > 0) {
-        const trace::SchedulingState state = m.snapshot();
+        const trace::SchedulingState state = m.capture(segment);
         snapshots.fetch_add(1, std::memory_order_relaxed);
         const bool free = !state.has_running() && state.holders.empty() &&
                           state.running_ticket == 0;
@@ -224,7 +224,6 @@ TEST(SyntheticMonitorTest, ConcurrentOwnersKeepSnapshotsConsistent) {
                            state.running_ticket != 0 &&
                            state.running_ticket == state.holders[0].ticket;
         if (!free && !whole) torn.fetch_add(1, std::memory_order_relaxed);
-        m.drain_segment(segment);
       }
     });
     std::vector<std::thread> owners;
@@ -284,7 +283,7 @@ TEST(SyntheticMonitorTest, RetentionOffRecordsNothingButStateMoves) {
   EXPECT_GT(handed.running_ticket, held.running_ticket);
 
   std::vector<trace::EventRecord> segment;
-  m.drain_segment(segment);
+  m.capture(segment);
   EXPECT_TRUE(segment.empty());
   EXPECT_TRUE(m.history().empty());
   EXPECT_EQ(m.log().total_appended(), 0u);

@@ -38,40 +38,40 @@ using wl::ScheduleScenario;
 // point, so a change to the locks a destructor takes can move a digest
 // without changing the scorecard.
 const CorpusRow kCorpus[] = {
-    {ScheduleScenario::kRecoveryFull, 1, 0x9f2687813b721065ULL,
+    {ScheduleScenario::kRecoveryFull, 1, 0x9972befe1189d729ULL,
      "wf=1 lo=2 act=3 poison=1 deliver=0 unpoison=1 impose=2 fenced=1 "
      "rf=1 reports=6"},
-    {ScheduleScenario::kRecoveryFull, 2, 0x391294601cedf00cULL,
+    {ScheduleScenario::kRecoveryFull, 2, 0xf7ca5ddbb617a956ULL,
      "wf=1 lo=2 act=3 poison=1 deliver=0 unpoison=1 impose=2 fenced=1 "
      "rf=1 reports=6"},
-    {ScheduleScenario::kDeliverToVictim, 1, 0xb8827e3fbacac9f7ULL,
+    {ScheduleScenario::kDeliverToVictim, 1, 0x8093523b11ee911dULL,
      "wf=1 lo=0 act=1 poison=0 deliver=1 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kDeliverToVictim, 2, 0xef95f7fea65d0822ULL,
+    {ScheduleScenario::kDeliverToVictim, 2, 0xec4c0034a4a3e6d0ULL,
      "wf=1 lo=0 act=1 poison=0 deliver=1 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kPoisonDuringWait, 1, 0x4195c1a9c16e3f74ULL,
+    {ScheduleScenario::kPoisonDuringWait, 1, 0x850c25ce18409811ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=9 reports=0"},
-    {ScheduleScenario::kPoisonDuringWait, 2, 0xf9aab1b76f21812fULL,
+    {ScheduleScenario::kPoisonDuringWait, 2, 0x60fe95e178304974ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=9 reports=0"},
-    {ScheduleScenario::kUnpoisonRacesNewBlocker, 1, 0x5bfce86855b749f1ULL,
+    {ScheduleScenario::kUnpoisonRacesNewBlocker, 1, 0xe903ad1ac8d11bc6ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=6 reports=0"},
-    {ScheduleScenario::kUnpoisonRacesNewBlocker, 2, 0xd33bfc3c8e7cc868ULL,
+    {ScheduleScenario::kUnpoisonRacesNewBlocker, 2, 0xa09213033736d08dULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=6 reports=0"},
-    {ScheduleScenario::kRemovePoisonedMonitor, 1, 0xc7756b3fc320f97dULL,
+    {ScheduleScenario::kRemovePoisonedMonitor, 1, 0xf53e6485f28453a0ULL,
      "wf=1 lo=0 act=1 poison=1 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kRemovePoisonedMonitor, 2, 0x69e2f6c0f07a6cd3ULL,
+    {ScheduleScenario::kRemovePoisonedMonitor, 2, 0xd577b39e0de3a692ULL,
      "wf=1 lo=0 act=1 poison=1 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kGateImpositionRacesCrossing, 1, 0x6d6ab3aefc42ea97ULL,
-     "wf=0 lo=1 act=1 poison=0 deliver=0 unpoison=0 impose=1 fenced=10 "
+    {ScheduleScenario::kGateImpositionRacesCrossing, 1, 0x8e51cc9904230e49ULL,
+     "wf=0 lo=1 act=1 poison=0 deliver=0 unpoison=0 impose=1 fenced=14 "
      "rf=0 reports=2"},
-    {ScheduleScenario::kGateImpositionRacesCrossing, 2, 0xc98678d8f5f71daaULL,
+    {ScheduleScenario::kGateImpositionRacesCrossing, 2, 0x0cea30853b2e0dfbULL,
      "wf=0 lo=1 act=1 poison=0 deliver=0 unpoison=0 impose=1 fenced=14 "
      "rf=0 reports=2"},
 };

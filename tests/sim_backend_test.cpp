@@ -2,7 +2,7 @@
 // scheduling, virtual time, the cooperative primitives, the seed →
 // schedule-digest determinism contract the schedule explorer relies on, and
 // HoareMonitor's hand-off semantics and event recording on fibers.
-// This binary links robmon_sim, so sync::Semaphore / CheckerGate / Gate are
+// This binary links robmon_sim, so sync::Semaphore / Gate are
 // the backend-ported versions running on fibers.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/monitor_spec.hpp"
 #include "runtime/hoare_monitor.hpp"
 #include "sync/backend.hpp"
-#include "sync/gate.hpp"
 #include "sync/semaphore.hpp"
 #include "sync/sim_backend.hpp"
 #include "workloads/sim_scenarios.hpp"
@@ -148,27 +147,6 @@ TEST(SimSchedulerTest, SemaphorePoisonReleasesParkedFiber) {
   sched.spawn([&] { sem.poison(); });
   EXPECT_EQ(sched.run(), SimScheduler::StopReason::kAllDone);
   EXPECT_EQ(result, sync::AcquireResult::kPoisoned);
-}
-
-TEST(SimSchedulerTest, CheckerGateExclusiveWaitsForSharedDrain) {
-  SimScheduler sched({.policy = SchedulePolicy::kFifo});
-  sync::CheckerGate gate;
-  std::vector<std::string> order;
-  sched.spawn([&] {
-    gate.enter_shared();
-    sched.yield_fiber();
-    sched.yield_fiber();
-    order.push_back("shared-exit");
-    gate.exit_shared();
-  });
-  sched.spawn([&] {
-    sched.yield_fiber();  // let the shared holder in first
-    gate.enter_exclusive();
-    order.push_back("exclusive");
-    gate.exit_exclusive();
-  });
-  EXPECT_EQ(sched.run(), SimScheduler::StopReason::kAllDone);
-  EXPECT_EQ(order, (std::vector<std::string>{"shared-exit", "exclusive"}));
 }
 
 TEST(SimSchedulerTest, SameSeedSameDigestDifferentSeedDiverges) {

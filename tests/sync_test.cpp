@@ -4,7 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "sync/gate.hpp"
 #include "sync/semaphore.hpp"
 #include "sync/spinlock.hpp"
 
@@ -102,85 +101,6 @@ TEST(SpinLockTest, TryLock) {
   lock.unlock();
   EXPECT_TRUE(lock.try_lock());
   lock.unlock();
-}
-
-TEST(CheckerGateTest, SharedHoldersCoexist) {
-  CheckerGate gate;
-  gate.enter_shared();
-  gate.enter_shared();
-  gate.exit_shared();
-  gate.exit_shared();
-}
-
-TEST(CheckerGateTest, ExclusiveWaitsForShared) {
-  CheckerGate gate;
-  gate.enter_shared();
-  std::atomic<bool> exclusive_held{false};
-  std::thread checker([&] {
-    gate.enter_exclusive();
-    exclusive_held.store(true);
-    gate.exit_exclusive();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(exclusive_held.load());
-  gate.exit_shared();
-  checker.join();
-  EXPECT_TRUE(exclusive_held.load());
-}
-
-TEST(CheckerGateTest, WriterPriorityBlocksNewReaders) {
-  CheckerGate gate;
-  gate.enter_shared();
-  std::atomic<bool> exclusive_done{false};
-  std::atomic<bool> second_reader_in{false};
-  std::thread checker([&] {
-    gate.enter_exclusive();
-    exclusive_done.store(true);
-    gate.exit_exclusive();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  std::thread reader([&] {
-    gate.enter_shared();
-    second_reader_in.store(true);
-    gate.exit_shared();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  // The checker is waiting, so the new reader must queue behind it.
-  EXPECT_FALSE(second_reader_in.load());
-  EXPECT_FALSE(exclusive_done.load());
-  gate.exit_shared();
-  checker.join();
-  reader.join();
-  EXPECT_TRUE(exclusive_done.load());
-  EXPECT_TRUE(second_reader_in.load());
-}
-
-TEST(CheckerGateTest, StressMixedTraffic) {
-  CheckerGate gate;
-  std::atomic<int> inside_shared{0};
-  std::atomic<int> inside_exclusive{0};
-  std::atomic<bool> violation{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        CheckerGate::SharedScope scope(gate);
-        inside_shared.fetch_add(1);
-        if (inside_exclusive.load() != 0) violation.store(true);
-        inside_shared.fetch_sub(1);
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    for (int i = 0; i < 100; ++i) {
-      CheckerGate::ExclusiveScope scope(gate);
-      inside_exclusive.fetch_add(1);
-      if (inside_shared.load() != 0) violation.store(true);
-      inside_exclusive.fetch_sub(1);
-    }
-  });
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(violation.load());
 }
 
 }  // namespace
