@@ -42,14 +42,6 @@
 #include "workloads/gate_crossing.hpp"
 #include "workloads/loadgen.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define ROBMON_SOAK_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ROBMON_SOAK_TSAN 1
-#endif
-#endif
-
 using namespace robmon;
 
 namespace {
@@ -198,17 +190,10 @@ int main(int argc, char** argv) {
 
     // --- budget: degrade in shed order under a 10× spike, then recover. ----
     if (soak_budget) {
-      wl::BudgetSpikeOptions options;
-#ifdef ROBMON_SOAK_TSAN
-      // TSan inflates absolute detection spend ~6×, which would park the
-      // controller above the default calibration's recovery threshold
-      // forever.  The ordering/recovery contract being gated here is
-      // threshold-independent, so scale the budget to TSan's cost level:
-      // the calm phases still sit clearly below it and the spike clearly
-      // above, and the full ladder is still exercised.
-      options.budget.fraction = 0.025;
-#endif
-      const wl::BudgetSpikeResult result = wl::run_budget_spike(options);
+      // The scenario derives its budget from an uncontrolled calibration
+      // pass, so it follows TSan's inflated cost level on its own.
+      const wl::BudgetSpikeResult result =
+          wl::run_budget_spike(wl::BudgetSpikeOptions{});
       ++spike.iterations;
       // "Missed" here covers the whole controller contract, not just fault
       // detections: a shed-order violation, a controller stuck degraded

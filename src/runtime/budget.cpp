@@ -15,8 +15,7 @@ std::string transition_detail(int from, int to) {
   if (to > from) {
     switch (static_cast<BudgetLevel>(to)) {
       case BudgetLevel::kStretch:
-        return "stretch: idle-cadence ceiling boosted, inline monitors "
-               "offloaded";
+        return "stretch: idle-cadence ceiling boosted";
       case BudgetLevel::kShedPrediction:
         return "shed: lock-order prediction suspended";
       case BudgetLevel::kWiden:
@@ -74,6 +73,10 @@ BudgetController::BudgetController(BudgetOptions options)
 std::optional<trace::BudgetRecord> BudgetController::record_batch(
     util::TimeNs check_ns, util::TimeNs now) {
   if (!enabled()) return std::nullopt;
+  if (check_ns > 0) {
+    spent_ns_.fetch_add(static_cast<std::uint64_t>(check_ns),
+                        std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (window_start_ < 0) {
     // First batch: it opens the window but has no wall-time denominator of
@@ -124,11 +127,6 @@ std::optional<trace::BudgetRecord> BudgetController::record_batch(
   record.detail = transition_detail(current, next);
   log_.push_back(record);
   return record;
-}
-
-double BudgetController::spend_ewma() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ewma_;
 }
 
 std::vector<trace::BudgetRecord> BudgetController::log() const {

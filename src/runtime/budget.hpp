@@ -5,14 +5,15 @@
 // production, but per-monitor EWMA stretch bounds nothing *globally*: a 10×
 // load spike multiplies every monitor's per-check cost (Algorithm 1 replays
 // the drained segment, so checks scale with event volume) and total
-// detection spend grows unbounded.  The detectEr line of work shows the
-// levers that matter are the sync-vs-async instrumentation choice and
-// load-aware shedding; this controller drives both from one number: the
-// fraction of wall-clock time the pool may spend checking.
+// detection spend grows unbounded.  The detectEr line of work shows that
+// load-aware shedding is a lever that matters; this controller drives it
+// from one number: the fraction of wall-clock time the pool may spend
+// checking.
 //
 // Measurement reuses the batch-drain structure: the dispatching worker
-// already brackets each batch, so one wall-clock pair per dispatch (not per
-// check) feeds record_batch().  Spend is accumulated over a decision window
+// already brackets each batch, so one clock pair per dispatch (not per
+// check), per checkpoint pass and per synchronous check_now() feeds
+// record_batch().  Spend is accumulated over a decision window
 // and folded into an EWMA of the spend *ratio* (check time / wall time);
 // windows — not raw batches — drive transitions, so a single slow batch
 // cannot whipsaw the level.
@@ -20,8 +21,7 @@
 // Degradation is a fixed, documented ladder, one step per decision window:
 //
 //   0 kNominal         full detection and prediction
-//   1 kStretch         idle-cadence ceiling × stretch_boost; offload-
-//                      eligible (kInline) monitors flip to the pool
+//   1 kStretch         idle-cadence ceiling × stretch_boost
 //   2 kShedPrediction  lock-order *prediction* shed: checkpoint passes and
 //                      per-check order folds skipped (resumable)
 //   3 kWiden           every effective check period × widen_factor, still
@@ -93,8 +93,8 @@ class BudgetController {
 
   /// Fold one dispatch batch that spent `check_ns` checking and finished at
   /// wall time `now`.  Returns the transition record when the degradation
-  /// level changed (the caller applies side effects and keeps the pool log);
-  /// the record is also appended to log().  No-op when disabled.
+  /// level changed; the record is also appended to log().  No-op when
+  /// disabled.
   std::optional<trace::BudgetRecord> record_batch(util::TimeNs check_ns,
                                                   util::TimeNs now);
 
@@ -103,8 +103,6 @@ class BudgetController {
   BudgetLevel level() const {
     return static_cast<BudgetLevel>(level_.load(std::memory_order_relaxed));
   }
-  /// Current spend EWMA (fraction of wall time; 0 until the first window).
-  double spend_ewma() const;
 
   // --- The knobs the pool reads (all neutral when disabled/nominal). -----
 
@@ -126,6 +124,11 @@ class BudgetController {
   std::uint64_t transitions() const {
     return transitions_.load(std::memory_order_relaxed);
   }
+  /// Total `check_ns` folded so far: the spend the controller governs, as
+  /// a cumulative figure callers can difference over any interval.
+  std::uint64_t spent_ns() const {
+    return spent_ns_.load(std::memory_order_relaxed);
+  }
   /// Copy of the transition log, in order — the codec v6 `bdgt` records a
   /// trace export attaches.
   std::vector<trace::BudgetRecord> log() const;
@@ -134,6 +137,7 @@ class BudgetController {
   BudgetOptions options_;
   std::atomic<int> level_{0};
   std::atomic<std::uint64_t> transitions_{0};
+  std::atomic<std::uint64_t> spent_ns_{0};
 
   /// Window accumulator + EWMA + log.  One lock acquisition per dispatch
   /// batch — record_batch is the only writer path.

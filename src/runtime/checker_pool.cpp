@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <ctime>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -162,12 +161,7 @@ void CheckerPool::schedule(MonitorId id) {
   entry.stretch = 1.0;
   entry.ewma_events = 0.0;
   entry.effective_period = entry.period;
-  // Inline monitors stay off the worker heap — their call sites poll
-  // check_inline() — unless budget pressure has offloaded them.
-  if (entry.options.instrumentation == CheckInstrumentation::kOffloaded ||
-      inline_offloaded_.load(std::memory_order_relaxed)) {
-    heap_.push({wall_now() + entry.period, id, entry.generation});
-  }
+  heap_.push({wall_now() + entry.period, id, entry.generation});
   if (waitfor_enabled() && !checkpoint_scheduled_) {
     heap_.push({wall_now() + waitfor_period_, kCheckpointId, 0});
     checkpoint_scheduled_ = true;
@@ -246,9 +240,9 @@ core::Detector::CheckStats CheckerPool::check_now(MonitorId id) {
     std::lock_guard<sync::BackendMutex> lock(mu_);
     auto it = entries_.find(id);
     // Unknown or just-removed id: report "no check ran" instead of
-    // throwing.  Callers probing mid-churn (the schedule explorer, inline
-    // polls racing remove()) cannot atomically check-and-call, so caller
-    // discipline is not enforceable here.
+    // throwing.  Callers probing mid-churn (the schedule explorer) cannot
+    // atomically check-and-call, so caller discipline is not enforceable
+    // here.
     if (it == entries_.end()) return core::Detector::CheckStats{};
     entry = it->second.get();
     ++entry->busy;  // pins the entry: remove() waits for busy == 0
@@ -266,6 +260,9 @@ core::Detector::CheckStats CheckerPool::check_now(MonitorId id) {
       pool->idle_cv_.notify_all();
     }
   } release{this, entry};
+  // A synchronous check runs on the caller's thread, so under a budget its
+  // cost is in-path spend: measure and fold every one.
+  const util::TimeNs started = budget_.enabled() ? cpu_now() : 0;
   core::Detector::CheckStats stats;
   bool occupied = false;
   {
@@ -276,65 +273,8 @@ core::Detector::CheckStats CheckerPool::check_now(MonitorId id) {
     std::lock_guard<sync::BackendMutex> lock(mu_);
     update_cadence_locked(*entry, stats, occupied);
   }
+  if (budget_.enabled()) budget_.record_batch(cpu_now() - started, wall_now());
   return stats;
-}
-
-core::Detector::CheckStats CheckerPool::check_inline(MonitorId id) {
-  // Inline checks run on the application's thread, so their cost is exactly
-  // the in-path overhead the budget bounds: measure and fold every one.
-  inline_checks_.fetch_add(1, std::memory_order_relaxed);
-  const util::TimeNs started = cpu_now();
-  core::Detector::CheckStats stats = check_now(id);
-  if (budget_.enabled()) {
-    record_budget(cpu_now() - started, wall_now());
-  }
-  return stats;
-}
-
-void CheckerPool::record_budget(util::TimeNs check_ns, util::TimeNs now) {
-  const std::optional<trace::BudgetRecord> transition =
-      budget_.record_batch(check_ns, now);
-  if (transition) apply_budget_transition(*transition);
-}
-
-void CheckerPool::apply_budget_transition(
-    const trace::BudgetRecord& transition) {
-  // The inline↔offloaded flip rides the kStretch boundary: under pressure
-  // application threads should not also pay for checking, so the pool takes
-  // the inline monitors over; recovery hands them back.
-  const auto crossed = [](int level) {
-    return level >= static_cast<int>(BudgetLevel::kStretch);
-  };
-  if (crossed(transition.to) != crossed(transition.from)) {
-    set_inline_offloaded(crossed(transition.to));
-  }
-}
-
-void CheckerPool::set_inline_offloaded(bool offload) {
-  std::lock_guard<sync::BackendMutex> lock(mu_);
-  if (inline_offloaded_.load(std::memory_order_relaxed) == offload) return;
-  inline_offloaded_.store(offload, std::memory_order_relaxed);
-  bool pushed = false;
-  for (auto& [id, entry] : entries_) {
-    if (entry->options.instrumentation != CheckInstrumentation::kInline ||
-        !entry->scheduled) {
-      continue;
-    }
-    inline_flips_.fetch_add(1, std::memory_order_relaxed);
-    if (offload) {
-      heap_.push({wall_now() + entry->effective_period, id,
-                  entry->generation});
-      pushed = true;
-    } else {
-      // Invalidate the heap items pushed while offloaded; the call sites'
-      // polls resume on their own (they re-read inline_offloaded()).
-      ++entry->generation;
-    }
-  }
-  if (pushed) {
-    ensure_workers_locked();
-    work_cv_.notify_all();
-  }
 }
 
 std::size_t CheckerPool::thread_count() const {
@@ -475,19 +415,8 @@ void CheckerPool::update_cadence_locked(
   } else if (entry.ewma_events < kIdleEventsEwma) {
     entry.stretch = std::min(entry.stretch * 2.0, ceiling);
   }
-  // A flipped inline monitor sits on the heap only as a pressure measure:
-  // the flip exists to relieve application threads, not to add pool load,
-  // so the pool covers it at the boosted ceiling (still timer-clamped
-  // below) instead of base cadence.  This is part of the kStretch shed
-  // step — it keeps degraded levels strictly cheaper than nominal, which
-  // is what lets the controller descend back out of them.
-  double floor = 1.0;
-  if (entry.options.instrumentation == CheckInstrumentation::kInline) {
-    floor = ceiling;
-  }
   util::TimeNs effective = static_cast<util::TimeNs>(
-      static_cast<double>(entry.period) *
-      std::max({entry.stretch, widen, floor}));
+      static_cast<double>(entry.period) * std::max(entry.stretch, widen));
   // Detection-latency clamp.  A blocking episode that *begins* mid-
   // stretched-interval is only noticed at the next (deferred) check, so
   // the effective period also bounds that first detection latency.  Capping
@@ -848,7 +777,7 @@ void CheckerPool::run_checkpoint_item_locked(
     // Checkpoint passes are detection spend too (graph SCC + live
     // validation can dwarf a per-monitor check); one clock pair per pass,
     // same as a dispatch batch.
-    record_budget(cpu_now() - pass_started, wall_now());
+    budget_.record_batch(cpu_now() - pass_started, wall_now());
   }
   lock.lock();
   const bool any_scheduled =
@@ -979,7 +908,7 @@ void CheckerPool::worker_loop() {
       idle_cv_.notify_all();
     }
     if (budget_.enabled()) {
-      record_budget(cpu_now() - batch_started, wall_now());
+      budget_.record_batch(cpu_now() - batch_started, wall_now());
     }
     lock.lock();
   }

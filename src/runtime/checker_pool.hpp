@@ -100,27 +100,17 @@
 //
 // Overhead budget (Options::budget): a pool-wide BudgetController bounds
 // total detection spend as a fraction of wall-clock time.  Measurement
-// reuses the batch-drain structure — one wall-clock pair per dispatch batch
-// (and per checkpoint pass) feeds a windowed spend EWMA — and when the EWMA
-// exceeds the budget the pool degrades one step per decision window, in a
-// fixed order: idle cadence stretches harder (and inline monitors flip to
-// the offloaded path), then lock-order *prediction* is shed (checkpoint
-// passes and per-check folds skipped, resumable), then every effective
-// check period widens toward the smallest timer threshold.  Confirmed-cycle
+// reuses the batch-drain structure — one thread-CPU clock pair per dispatch
+// batch (and per checkpoint pass and check_now() call) feeds a windowed
+// spend EWMA — and when the EWMA exceeds the budget the pool degrades one
+// step per decision window, in a fixed order: idle cadence stretches
+// harder, then lock-order *prediction* is shed (checkpoint passes and
+// per-check folds skipped, resumable), then every effective check period
+// widens toward the smallest timer threshold.  Confirmed-cycle
 // (wait-for) detection and active recovery are never shed.  Recovery is
 // symmetric with hysteresis, and every transition lands in budget_log() as
 // a codec v6 `bdgt` record.  See runtime/budget.hpp for the controller and
 // docs/overhead-budget.md for the contract the bench gates.
-//
-// Instrumentation choice (MonitorOptions::instrumentation): kOffloaded
-// monitors are deadline-scheduled on the pool's workers (asynchronous, the
-// default); kInline monitors are checked synchronously on the calling
-// thread — the call site polls check_inline() at monitor-exit points, the
-// pool keeps them off the worker heap, and the per-operation cost is one
-// atomic due-time comparison until a check falls due.  Inline monitors are
-// offload-*eligible*: at budget level ≥ stretch the pool temporarily flips
-// them onto the worker heap (the caller's poll sees inline_offloaded() and
-// stands down), and flips them back when the controller recovers.
 //
 // Lifecycle contract (unschedule vs remove): unschedule(id) stops checking
 // and withdraws the monitor's live wait-for contribution, but keeps its
@@ -202,12 +192,6 @@ class CheckerPool {
     BudgetOptions budget = {};
   };
 
-  /// Where a monitor's checking routine runs (see the file comment).
-  enum class CheckInstrumentation {
-    kOffloaded,  ///< Pool worker threads — asynchronous (default).
-    kInline,     ///< Calling thread, polled at monitor-exit points.
-  };
-
   /// Per-monitor checking policy.
   struct MonitorOptions {
     /// Adaptive cadence ceiling: while the monitor is idle (no drained
@@ -215,12 +199,6 @@ class CheckerPool {
     /// stretches up to check_period × max_stretch.  1.0 = fixed cadence.
     /// Must be ≥ 1.
     double max_stretch = 1.0;
-    /// Synchronous in-path checking vs the offloaded pool path.  kInline
-    /// monitors stay off the worker heap while nominal; the call site is
-    /// responsible for polling check_inline() (RobustMonitor does this at
-    /// its exit points).  The budget controller may temporarily offload
-    /// them under pressure.
-    CheckInstrumentation instrumentation = CheckInstrumentation::kOffloaded;
     /// Invoked with every checkpoint state (replayable-trace support).
     std::function<void(const trace::SchedulingState&)> on_checkpoint;
   };
@@ -274,23 +252,12 @@ class CheckerPool {
 
   /// One synchronous checking-routine invocation on the caller's thread;
   /// serialized against any worker checking the same monitor.  Feeds the
-  /// adaptive-cadence controller like a periodic check.  An unknown or
+  /// adaptive-cadence controller like a periodic check and, when the budget
+  /// is enabled, the budget controller with its measured cost.  An unknown or
   /// just-removed id returns an empty CheckStats deterministically (the
   /// schedule explorer calls this mid-churn, where an id can vanish between
   /// the caller's lookup and the call).
   core::Detector::CheckStats check_now(MonitorId id);
-
-  /// check_now() for an inline-instrumented call site: same synchronous
-  /// check, additionally accounted as inline work and measured into the
-  /// overhead budget.  RobustMonitor's exit-point poll is the intended
-  /// caller; it polls only when the monitor's effective period has elapsed.
-  core::Detector::CheckStats check_inline(MonitorId id);
-
-  /// Whether budget pressure currently routes kInline monitors through the
-  /// worker heap (call sites' polls stand down while true).
-  bool inline_offloaded() const {
-    return inline_offloaded_.load(std::memory_order_relaxed);
-  }
 
   /// One synchronous wait-for checkpoint pass on the caller's thread:
   /// cycle detection over the contributed graph, live validation of every
@@ -401,9 +368,10 @@ class CheckerPool {
 
   /// Current overhead-budget degradation level (kNominal when disabled).
   BudgetLevel budget_level() const { return budget_.level(); }
-  /// Spend EWMA: fraction of wall-clock time the pool spends checking.
-  double budget_spend() const { return budget_.spend_ewma(); }
   std::uint64_t budget_transitions() const { return budget_.transitions(); }
+  /// Cumulative detection spend the budget controller was fed (thread-CPU
+  /// ns of every batch, checkpoint pass and check_now); 0 when disabled.
+  std::uint64_t budget_spent_ns() const { return budget_.spent_ns(); }
   /// Copy of the transition log, in order — the codec v6 `bdgt` records a
   /// trace export attaches.
   std::vector<trace::BudgetRecord> budget_log() const {
@@ -412,14 +380,6 @@ class CheckerPool {
   /// Lock-order prediction checkpoint passes skipped under budget pressure.
   std::uint64_t prediction_sheds() const {
     return prediction_sheds_.load(std::memory_order_relaxed);
-  }
-  /// Checks driven through check_inline() (synchronous in-path checking).
-  std::uint64_t inline_checks() const {
-    return inline_checks_.load(std::memory_order_relaxed);
-  }
-  /// Per-monitor inline↔offloaded flips applied by budget transitions.
-  std::uint64_t inline_flips() const {
-    return inline_flips_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -531,15 +491,6 @@ class CheckerPool {
       const std::unordered_set<std::string>& confirmed_keys);
   void log_recovery(trace::RecoveryRecord record);
 
-  /// Fold one measured spend sample (a dispatch batch, a checkpoint pass,
-  /// or an inline check) into the budget controller and apply any resulting
-  /// transition's side effects.  Must not be called with mu_ held.
-  void record_budget(util::TimeNs check_ns, util::TimeNs now);
-  void apply_budget_transition(const trace::BudgetRecord& transition);
-  /// Flip every scheduled kInline monitor onto (or back off) the worker
-  /// heap — the budget controller's offload lever.
-  void set_inline_offloaded(bool offload);
-
   const util::Clock* clock_;
   std::size_t configured_threads_;
   util::TimeNs waitfor_period_ = 0;
@@ -614,11 +565,6 @@ class CheckerPool {
   std::atomic<std::uint64_t> orders_imposed_{0};
   std::atomic<std::uint64_t> monitors_unpoisoned_{0};
   std::atomic<std::uint64_t> prediction_sheds_{0};
-  std::atomic<std::uint64_t> inline_checks_{0};
-  std::atomic<std::uint64_t> inline_flips_{0};
-  /// Budget pressure has kInline monitors on the worker heap (see the
-  /// instrumentation paragraph in the file comment).
-  std::atomic<bool> inline_offloaded_{false};
 };
 
 }  // namespace robmon::rt

@@ -15,7 +15,6 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
       detector_(monitor_.spec(), monitor_.symbols(), sink) {
   CheckerPool::MonitorOptions policy;
   policy.max_stretch = options_.cadence_max_stretch;
-  policy.instrumentation = options_.check_instrumentation;
   if (options_.retain_trace) {
     policy.on_checkpoint = [this](const trace::SchedulingState& s) {
       std::lock_guard<std::mutex> lock(checkpoints_mu_);
@@ -31,8 +30,6 @@ RobustMonitor::RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink,
     pool_ = own_pool_.get();
   }
   pool_id_ = pool_->add(monitor_, detector_, std::move(policy));
-  inline_mode_ = options_.check_instrumentation ==
-                 CheckerPool::CheckInstrumentation::kInline;
   const std::string expression = monitor_.spec().effective_path_expression();
   if (!expression.empty()) order_spec_.emplace(expression);
 
@@ -101,54 +98,9 @@ void RobustMonitor::reset_order_matcher(trace::Pid pid) {
   if (it != matchers_.end()) it->second.reset();
 }
 
-void RobustMonitor::signal_exit(trace::Pid pid, const std::string& cond) {
-  monitor_.signal_exit(pid, cond);
-  poll_inline_check();
-}
+void RobustMonitor::start_checking() { pool_->schedule(pool_id_); }
 
-void RobustMonitor::signal_exit(trace::Pid pid, const std::string& cond,
-                                std::int64_t resource_delta) {
-  monitor_.signal_exit(pid, cond, resource_delta);
-  poll_inline_check();
-}
-
-void RobustMonitor::exit(trace::Pid pid) {
-  monitor_.exit(pid);
-  poll_inline_check();
-}
-
-void RobustMonitor::poll_inline_check() {
-  if (!inline_mode_ || !inline_active_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  const util::TimeNs now = sync::backend_now();
-  util::TimeNs due = next_inline_check_.load(std::memory_order_relaxed);
-  if (now < due) return;  // the steady-state exit: one clock read + compare
-  if (pool_->inline_offloaded()) return;  // pressure: the pool owns us now
-  // One caller wins the due slot and runs the check; losers see the
-  // advanced deadline.  The next due time uses the pool's effective period,
-  // so budget widening and adaptive stretch govern inline cadence too.
-  const util::TimeNs next = now + pool_->effective_period(pool_id_);
-  if (!next_inline_check_.compare_exchange_strong(due, next,
-                                                  std::memory_order_relaxed)) {
-    return;
-  }
-  pool_->check_inline(pool_id_);
-}
-
-void RobustMonitor::start_checking() {
-  pool_->schedule(pool_id_);
-  if (inline_mode_) {
-    next_inline_check_.store(sync::backend_now() + pool_->period(pool_id_),
-                             std::memory_order_relaxed);
-    inline_active_.store(true, std::memory_order_relaxed);
-  }
-}
-
-void RobustMonitor::stop_checking() {
-  inline_active_.store(false, std::memory_order_relaxed);
-  pool_->unschedule(pool_id_);
-}
+void RobustMonitor::stop_checking() { pool_->unschedule(pool_id_); }
 
 core::Detector::CheckStats RobustMonitor::check_now() {
   return pool_->check_now(pool_id_);

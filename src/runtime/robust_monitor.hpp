@@ -17,7 +17,6 @@
 //   monitor.stop_checking();
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,18 +55,8 @@ class RobustMonitor {
     /// Shared detection engine (deadline-scheduled across K worker
     /// threads); the pool must outlive the monitor.  When null, the
     /// monitor owns a private one-thread CheckerPool on `clock` instead.
-    /// Either way every knob below applies identically.
+    /// Either way every knob above applies identically.
     CheckerPool* checker_pool = nullptr;
-    /// Where the checking routine runs.
-    /// kOffloaded (default): the pool's worker threads, asynchronously.
-    /// kInline: synchronously on the calling thread — exit() and
-    /// signal_exit() poll the pool once the monitor's effective period has
-    /// elapsed (the detectEr-style synchronous instrumentation choice; the
-    /// steady per-operation cost is one clock read and one atomic compare).
-    /// The pool's budget controller may temporarily offload an inline
-    /// monitor under pressure; polling resumes when it recovers.
-    CheckerPool::CheckInstrumentation check_instrumentation =
-        CheckerPool::CheckInstrumentation::kOffloaded;
   };
 
   RobustMonitor(core::MonitorSpec spec, core::ReportSink& sink);
@@ -82,12 +71,16 @@ class RobustMonitor {
 
   Status enter(trace::Pid pid, const std::string& procedure);
   Status wait(trace::Pid pid, const std::string& cond);
-  void signal_exit(trace::Pid pid, const std::string& cond);
+  void signal_exit(trace::Pid pid, const std::string& cond) {
+    monitor_.signal_exit(pid, cond);
+  }
   /// Signal-exit adjusting the monitor-tracked R# atomically with the event
   /// (see HoareMonitor::track_resources).
   void signal_exit(trace::Pid pid, const std::string& cond,
-                   std::int64_t resource_delta);
-  void exit(trace::Pid pid);
+                   std::int64_t resource_delta) {
+    monitor_.signal_exit(pid, cond, resource_delta);
+  }
+  void exit(trace::Pid pid) { monitor_.exit(pid); }
 
   /// Enable monitor-owned R# accounting (coordinator monitors).
   void track_resources(std::int64_t initial) {
@@ -135,12 +128,6 @@ class RobustMonitor {
   trace::TraceFile export_trace() const;
 
  private:
-  /// Inline instrumentation: run the checking routine on this (calling)
-  /// thread if the effective check period has elapsed.  Called at the two
-  /// points where the caller has just left the monitor (exit, signal_exit),
-  /// so a check never captures its own caller mid-procedure.
-  void poll_inline_check();
-
   void advance_order_matcher(trace::Pid pid, const std::string& procedure);
   /// Restart `pid`'s calling-order matcher after a recovery fault aborted
   /// its in-flight procedure (the caller retries the protocol from
@@ -157,11 +144,6 @@ class RobustMonitor {
   /// own_pool_.
   CheckerPool* pool_ = nullptr;
   CheckerPool::MonitorId pool_id_ = 0;
-
-  /// Inline-instrumentation poll state (kInline only).
-  bool inline_mode_ = false;
-  std::atomic<bool> inline_active_{false};       ///< start/stop_checking.
-  std::atomic<util::TimeNs> next_inline_check_{0};
 
   /// Real-time phase state (allocator monitors / any declared order).
   std::optional<pathexpr::CallOrderSpec> order_spec_;

@@ -57,7 +57,7 @@ struct RecoveryRecord {
 /// because its spend EWMA crossed the configured budget (or the recovery
 /// threshold under it).  Levels are the documented shed ladder:
 ///   0  nominal — full detection and prediction,
-///   1  idle cadence stretched harder (and inline monitors offloaded),
+///   1  idle cadence stretched harder,
 ///   2  lock-order *prediction* shed (confirmed-cycle detection untouched),
 ///   3  detection periods widened toward Tmax (never dropped).
 /// `spend_ppm` / `budget_ppm` are the spend EWMA and the budget as integer

@@ -315,32 +315,6 @@ TEST(CheckerPoolTest, FrozenManualClockDoesNotStallPeriodicChecking) {
   EXPECT_EQ(sink.count(), 0u);
 }
 
-// Inline instrumentation is a per-monitor policy of the one engine, so it
-// works on a monitor's private pool too: checks run only from the
-// exit-point poll on the calling thread, never from a pool worker.
-TEST(CheckerPoolTest, PrivatePoolHonorsInlineInstrumentation) {
-  CollectingSink sink;
-  RobustMonitor::Options options;
-  options.check_instrumentation = CheckerPool::CheckInstrumentation::kInline;
-  RobustMonitor monitor(
-      relaxed_timers(MonitorSpec::manager("inline"), 1 * kMillisecond), sink,
-      options);
-  monitor.start_checking();
-  // No traffic, no poll: an offloaded monitor would have been checked
-  // ~20 times by now.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(monitor.detector().checks_run(), 0u);
-  for (int spin = 0; spin < 400; ++spin) {
-    if (monitor.detector().checks_run() >= 2) break;
-    ASSERT_EQ(monitor.enter(1, "Op"), Status::kOk);
-    monitor.exit(1);  // polls: checks once the 1 ms period has elapsed
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  monitor.stop_checking();
-  EXPECT_GE(monitor.detector().checks_run(), 2u);
-  EXPECT_EQ(sink.count(), 0u);
-}
-
 TEST(MultiLoadTest, SharedPoolMissesNothing) {
   wl::MultiLoadOptions options;
   options.monitors = 6;

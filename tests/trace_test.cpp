@@ -561,8 +561,7 @@ TEST(CodecTest, DocumentedExampleParses) {
       "lord fork-1 fork-0 2 4 6 H\n"
       "rcov P 1 fork-1 2 2600 victim p1 blocked on fork-1[available]\n"
       "rcov C -1 fork-1 0 3100 recovery complete: cycle dissolved\n"
-      "bdgt 0 1 5200 3500 1200 stretch: idle-cadence ceiling boosted, "
-      "inline monitors offloaded\n"
+      "bdgt 0 1 5200 3500 1200 stretch: idle-cadence ceiling boosted\n"
       "bdgt 1 0 1800 3500 2900 recover: nominal, full detection and "
       "prediction restored\n";
   const TraceFile parsed = read_trace_string(documented);
@@ -603,9 +602,7 @@ TEST(CodecTest, DocumentedExampleParses) {
   EXPECT_EQ(parsed.budget[0].spend_ppm, 5200u);
   EXPECT_EQ(parsed.budget[0].budget_ppm, 3500u);
   EXPECT_EQ(parsed.budget[0].at, 1200);
-  EXPECT_EQ(parsed.budget[0].detail,
-            "stretch: idle-cadence ceiling boosted, inline monitors "
-            "offloaded");
+  EXPECT_EQ(parsed.budget[0].detail, "stretch: idle-cadence ceiling boosted");
   EXPECT_EQ(parsed.budget[1].to, 0);
   // And the example round-trips: re-serializing reproduces the document.
   EXPECT_EQ(write_trace_string(parsed), documented);
