@@ -11,11 +11,11 @@
 // With --recovery the detection becomes an intervention: a deterministic
 // hold-and-wait ring is injected and the pool's RecoveryPolicy must get it
 // to COMPLETE — poison (victim monitor poisoned, waiters evicted with
-// RecoveryFault, unpoisoned once the cycle dissolves), fault (designated
-// RecoveryFault to the victim alone), or order (predicted cycle pre-empted
-// by imposing the dominant acquisition order, so it never closes).  The
-// exit contract: liveness, exactly one recovery action, zero reports
-// against the clean control ring.
+// RecoveryFault, until the hold the victim waited behind ends), fault
+// (designated RecoveryFault to the victim alone), or order (predicted cycle
+// pre-empted by imposing the dominant acquisition order, so it never
+// closes).  The exit contract: liveness, exactly one recovery action, zero
+// reports against the clean control ring.
 //
 //   ./dining_philosophers                    # symmetric: cycle detected
 //   ./dining_philosophers --symmetric=false  # asymmetric control: clean

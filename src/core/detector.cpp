@@ -1,5 +1,6 @@
 #include "core/detector.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace robmon::core {
@@ -26,7 +27,10 @@ void Detector::rebaseline(const trace::SchedulingState& state) {
   // later Release, and ST-8b must find its acquisition on the Request-List;
   // likewise ST-7 must account for the units already out.  Only the
   // *pending* acquisitions of evicted waiters are dropped — they return
-  // kRecoveryFault and re-issue a fresh Acquire on retry.
+  // kRecoveryFault and re-issue a fresh Acquire on retry.  An acquirer
+  // still queued, or running inside Acquire before its hold is registered,
+  // entered inside the discarded segment and will Release later, so it
+  // keeps its entry too.
   requests_ = RequestList{};
   const trace::SymbolId acquire =
       symbols_->find(spec_.acquire_procedure);
@@ -34,6 +38,26 @@ void Detector::rebaseline(const trace::SchedulingState& state) {
     for (std::int64_t unit = 0; unit < hold.units; ++unit) {
       requests_.entries.push_back({hold.pid, acquire, hold.held_since});
     }
+  }
+  const auto in_flight = [&](trace::Pid pid, trace::SymbolId proc,
+                             util::TimeNs since) {
+    if (acquire != trace::kNoSymbol && proc == acquire) {
+      requests_.entries.push_back({pid, acquire, since});
+    }
+  };
+  for (const auto& entry : state.entry_queue) {
+    in_flight(entry.pid, entry.proc, entry.enqueued_at);
+  }
+  for (const auto& queue : state.cond_queues) {
+    for (const auto& entry : queue.entries) {
+      in_flight(entry.pid, entry.proc, entry.enqueued_at);
+    }
+  }
+  const bool running_holds =
+      std::any_of(state.holders.begin(), state.holders.end(),
+                  [&](const auto& hold) { return hold.pid == state.running; });
+  if (state.has_running() && !running_holds) {
+    in_flight(state.running, state.running_proc, state.running_since);
   }
   counters_ = ResourceCounters{};
   if (spec_.type == MonitorType::kCommunicationCoordinator &&

@@ -37,8 +37,9 @@ class Detector {
   /// (victim monitor poisoned, designated fault delivered) wakes parked
   /// threads without recording the resume events the ST-Rules expect, so
   /// the detector must restart from the post-action state as if freshly
-  /// initialized: previous state replaced, Request-List and cumulative
-  /// resource counters cleared.  The caller must drain (discard) the event
+  /// initialized: previous state replaced, cumulative resource counters
+  /// cleared, and the Request-List rebuilt from the state's holders and
+  /// in-flight acquirers.  The caller must drain (discard) the event
   /// segment spanning the action; rt::CheckerPool does both from one
   /// EventSink::capture().  Lifetime counters (checks_run, ...) persist.
   void rebaseline(const trace::SchedulingState& state);

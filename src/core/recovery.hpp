@@ -11,8 +11,9 @@
 //     episode, then the thread holding the fewest cycle monitors, then the
 //     lowest user priority) and a REMEDY: poison the monitor the victim
 //     waits on (every waiter wakes with rt::Status::kRecoveryFault instead
-//     of blocking forever; sticky until recovery completes) or deliver a
-//     designated RecoveryFault to the victim thread alone.
+//     of blocking forever; sticky until the hold the victim waits behind
+//     ends) or deliver a designated RecoveryFault to the victim thread
+//     alone.
 //   * Predicted cycle  -> act pre-emptively: the witness counts of the
 //     accumulated order relation name the DOMINANT acquisition order, and
 //     the decision fences the minority edge — the edge with the fewest
@@ -45,7 +46,7 @@ namespace robmon::core {
 /// Remedy applied to the victim of a confirmed cycle.
 enum class RecoveryRemedy {
   kPoisonVictim,  ///< Poison the monitor the victim waits on (wake-all,
-                  ///  sticky until the cycle dissolves).
+                  ///  sticky until the hold it waits behind ends).
   kDeliverFault,  ///< Wake only the victim thread with a RecoveryFault.
 };
 

@@ -42,7 +42,8 @@ std::string DeadlockCycle::key() const {
   std::ostringstream out;
   for (const auto& link : links) {
     out << link.pid << ">" << link.monitor << "[" << link.cond << "]>"
-        << link.holder << ";";
+        << link.holder << "#" << link.blocked_ticket << "/"
+        << link.holder_ticket << ";";
   }
   return out.str();
 }

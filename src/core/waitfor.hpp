@@ -102,6 +102,8 @@ struct DeadlockCycle {
   std::vector<Link> links;
 
   /// Canonical signature (rotation-invariant), for dedup across checkpoints.
+  /// It includes the episode tickets: a cycle that persists keeps its key,
+  /// and one that dissolves and re-forms on the same threads gets a new one.
   std::string key() const;
 };
 

@@ -197,7 +197,6 @@ void CheckerPool::remove(MonitorId id) {
   entry.scheduled = false;
   ++entry.generation;
   idle_cv_.wait(lock, [&entry] { return entry.busy == 0; });
-  EventSink* monitor = entry.monitor;  // outlives its registration
   entries_.erase(it);  // stale heap items are discarded by the workers
   // No check of this monitor is in flight or can start (busy drained above),
   // so nothing can re-contribute this id's edges after the erase.  Per the
@@ -218,20 +217,6 @@ void CheckerPool::remove(MonitorId id) {
     order_graph_.erase(id);
     std::erase_if(reported_order_cycles_, names_monitor);
   }
-  // A sticky poison targeting the removed monitor can never be completed
-  // by a later checkpoint (the registration is gone) — clear it NOW, or a
-  // still-alive monitor re-registered later would reject blocking calls
-  // forever.  `monitor` stays valid here: remove() only unregisters, and
-  // busy drained above means no check references it.
-  bool was_poisoned = false;
-  {
-    std::lock_guard<sync::BackendMutex> recovery_lock(recovery_mu_);
-    was_poisoned =
-        std::erase_if(active_poisons_, [id](const auto& poison) {
-          return poison.second == id;
-        }) > 0;
-  }
-  if (was_poisoned) monitor->unpoison();
 }
 
 core::Detector::CheckStats CheckerPool::check_now(MonitorId id) {
@@ -329,24 +314,34 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
                                                   bool* occupied_out) {
   const util::TimeNs started = wall_now();
   std::vector<trace::EventRecord>& segment = entry.segment;
-  // One atomic capture stands in for the paper's suspension: the segment
-  // and the state belong to one instant, and everything below reads only
-  // these private copies, so the monitor keeps serving meanwhile.
-  const trace::SchedulingState state = entry.monitor->capture(segment);
-  const util::TimeNs captured = wall_now();
   // While a monitor is recovery-poisoned its traffic is out-of-band by
   // definition (evictions and would-block rejections record no events,
   // but admitted non-blocking calls still record theirs), so replaying
   // the window's segment would fabricate ST violations.  Detection is
   // suspended for the window — segment drained and discarded, state still
-  // captured (the wait-for/order contributions stay fresh) — and
-  // complete_recoveries() re-baselines the detector when service is
-  // restored.  recovery_poisoned() is stable across this function: the
-  // poison/unpoison transitions run under entry.check_mu, which every
-  // caller of run_check holds.
+  // captured (the wait-for/order contributions stay fresh).  The monitor
+  // ends the poison by itself, so it is read BEFORE the capture: a
+  // rejection that landed between a capture and a later read would escape
+  // both the discarded segment and the new baseline.
+  const bool poisoned = entry.monitor->recovery_poisoned();
+  // One atomic capture stands in for the paper's suspension: the segment
+  // and the state belong to one instant, and everything below reads only
+  // these private copies, so the monitor keeps serving meanwhile.
+  const trace::SchedulingState state = entry.monitor->capture(segment);
+  const util::TimeNs captured = wall_now();
   core::Detector::CheckStats stats;
-  if (entry.monitor->recovery_poisoned()) {
+  if (poisoned) {
     stats.idle = true;
+  } else if (entry.suspended) {
+    // Recovery complete: the first check after the poison ended restarts
+    // the detector from its own capture.
+    entry.suspended = false;
+    if (entry.detector != nullptr) entry.detector->rebaseline(state);
+    stats.idle = true;
+    monitors_unpoisoned_.fetch_add(1, std::memory_order_relaxed);
+    log_recovery({'C', trace::kNoPid, entry.monitor->spec().name, 0,
+                  clock_->now_ns(),
+                  "recovery complete: the poisoned hold ended"});
   } else if (entry.detector != nullptr) {
     stats = entry.detector->check(segment, state, rule_now);
   } else {
@@ -407,10 +402,12 @@ void CheckerPool::update_cadence_locked(
   // Symmetric recovery: a ceiling that shrank back (boost returned to 1)
   // re-clamps stretch retained from the pressure episode immediately.
   entry.stretch = std::min(entry.stretch, ceiling);
-  if (stats.events > 0 || stats.violations > 0 || occupied) {
-    // Activity, a finding, or anybody running/queued: base cadence, now.
-    // Occupancy is the precondition of every timer rule (ST-5/6/8c), so an
-    // occupied monitor is always checked at base cadence.
+  if (stats.events > 0 || occupied) {
+    // Activity, or anybody running/queued: base cadence, now.  Every new
+    // fault arrives with events or occupancy — a standing violation
+    // re-reported over an idle monitor does not — and occupancy is the
+    // precondition of every timer rule (ST-5/6/8c), so an occupied monitor
+    // is always checked at base cadence.
     entry.stretch = 1.0;
   } else if (entry.ewma_events < kIdleEventsEwma) {
     entry.stretch = std::min(entry.stretch * 2.0, ceiling);
@@ -560,17 +557,15 @@ std::size_t CheckerPool::run_waitfor_checkpoint() {
     if (recovery_enabled()) act_on_confirmed_cycle(cycle);
   }
 
-  // Forget cycles that no longer hold, so a deadlock that dissolves (e.g.
-  // poisoned monitors) and later re-forms is reported again.
+  // Forget cycles that no longer hold.  (A deadlock that re-forms carries
+  // fresh episode tickets, hence a fresh key, and is reported again even
+  // if no pass ran while it was dissolved.)
   {
     std::lock_guard<sync::BackendMutex> lock(graph_mu_);
     std::erase_if(reported_cycles_, [&](const auto& reported) {
       return confirmed_keys.find(reported.first) == confirmed_keys.end();
     });
   }
-  // Recovery-complete: a sticky poison whose cycle dissolved is cleared,
-  // restoring normal service on the victim monitor.
-  if (recovery_enabled()) complete_recoveries(confirmed_keys);
   return confirmed_count;
 }
 
@@ -666,11 +661,16 @@ void CheckerPool::act_on_confirmed_cycle(const core::DeadlockCycle& cycle) {
     // (that mismatch would read as an ST-Rule violation).
     std::lock_guard<sync::BackendMutex> check_lock(entry->check_mu);
     if (decision.remedy == core::RecoveryRemedy::kPoisonVictim) {
-      entry->monitor->recovery_poison();
-      {
-        std::lock_guard<sync::BackendMutex> recovery_lock(recovery_mu_);
-        active_poisons_[cycle.key()] = entry->id;
-      }
+      // The poison lasts as long as the hold the victim waits behind; the
+      // monitor ends it, and run_check resumes detection after.
+      const auto link = std::find_if(
+          cycle.links.begin(), cycle.links.end(), [&](const auto& l) {
+            return l.pid == decision.victim.pid &&
+                   l.monitor == decision.victim.monitor;
+          });
+      entry->monitor->recovery_poison(
+          link != cycle.links.end() ? link->holder_ticket : 0);
+      entry->suspended = true;
       victims_poisoned_.fetch_add(1, std::memory_order_relaxed);
     } else {
       entry->monitor->deliver_recovery_fault(decision.victim.pid);
@@ -705,44 +705,6 @@ void CheckerPool::act_on_order_cycle(
   sink->report(core::make_recovery_report(decision, at));
 }
 
-void CheckerPool::complete_recoveries(
-    const std::unordered_set<std::string>& confirmed_keys) {
-  std::vector<std::pair<std::string, MonitorId>> completed;
-  {
-    std::lock_guard<sync::BackendMutex> recovery_lock(recovery_mu_);
-    for (auto it = active_poisons_.begin(); it != active_poisons_.end();) {
-      if (confirmed_keys.find(it->first) != confirmed_keys.end()) {
-        ++it;
-        continue;
-      }
-      completed.emplace_back(it->first, it->second);
-      it = active_poisons_.erase(it);
-    }
-  }
-  for (const auto& [key, id] : completed) {
-    Entry* entry = pin_entry(id);
-    if (entry == nullptr) continue;
-    std::string name;
-    {
-      std::lock_guard<sync::BackendMutex> check_lock(entry->check_mu);
-      entry->monitor->unpoison();
-      // Detection was suspended for the poison window; restart it from
-      // the restored-service state.
-      rebaseline_entry(*entry);
-      name = entry->monitor->spec().name;
-    }
-    unpin_entry(entry);
-    monitors_unpoisoned_.fetch_add(1, std::memory_order_relaxed);
-    trace::RecoveryRecord record;
-    record.action = 'C';
-    record.monitor = name;
-    record.at = clock_->now_ns();
-    record.detail = "recovery complete: cycle dissolved, normal service "
-                    "restored; was " + key;
-    log_recovery(std::move(record));
-  }
-}
-
 void CheckerPool::log_recovery(trace::RecoveryRecord record) {
   std::lock_guard<sync::BackendMutex> lock(recovery_mu_);
   recovery_log_.push_back(std::move(record));
@@ -767,7 +729,7 @@ void CheckerPool::run_checkpoint_item_locked(
   heap_.pop();  // this worker owns the pass; re-pushed when done
   dispatches_.fetch_add(1, std::memory_order_relaxed);
   lock.unlock();
-  const util::TimeNs pass_started = cpu_now();
+  const util::TimeNs pass_started = budget_.enabled() ? cpu_now() : 0;
   if (id == kCheckpointId) {
     run_waitfor_checkpoint();
   } else {
@@ -864,7 +826,7 @@ void CheckerPool::worker_loop() {
     // spend it charges is the worker's CPU time, relocks and cadence
     // updates included — exactly the cost the batch imposed, and immune to
     // preemption charging the scheduler's slice to the budget).
-    const util::TimeNs batch_started = cpu_now();
+    const util::TimeNs batch_started = budget_.enabled() ? cpu_now() : 0;
     const util::TimeNs rule_now = clock_->now_ns();
     for (BatchSlot& slot : batch) {
       Entry& entry = *slot.entry;

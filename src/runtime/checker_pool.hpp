@@ -34,7 +34,7 @@
 // be checked lazily — its effective period stretches geometrically from
 // check_period up to check_period × max_stretch while consecutive checks
 // drain nothing, and snaps back to check_period on the first check that
-// sees events, violations, or occupancy.  The paper's Section 3.3
+// sees events or occupancy.  The paper's Section 3.3
 // Tmax < T relation holds throughout (stretching only grows T), and the
 // timer rules keep a hard latency bound: a monitor observed occupied is
 // always checked at base cadence, and for an episode that *begins* inside
@@ -84,19 +84,23 @@
 // confirmed cycle is first reported, the policy scores the blocked
 // participants and the pool actuates the chosen remedy — recovery-poisons
 // the monitor the victim waits on (waiters wake with Status::kRecoveryFault
-// instead of blocking forever; sticky until the cycle dissolves, at which
-// point the next wait-for checkpoint unpoisons it) or delivers a designated
-// RecoveryFault to the victim thread alone.  When a predicted order cycle
-// is first warned about, the policy acts pre-emptively: the witness counts
-// name the dominant acquisition order, and the pool engages
-// Options::recovery.gate with that order plus the minority-edge witnesses,
-// so cooperating call sites re-order (or fence) before the cycle can ever
-// close.  Exactly one action fires per reported cycle.  After a poison or
+// instead of blocking forever) or delivers a designated RecoveryFault to
+// the victim thread alone.  The poison is cast against the hold the victim
+// waits behind (the cycle link's holder ticket), and the monitor itself
+// ends it when that hold ends; the pool only suspends the monitor's
+// detection meanwhile, and the first check that reads the poison ended
+// re-baselines the detector from its own capture (recovery complete).
+// When a predicted order cycle is first warned about, the policy acts
+// pre-emptively: the witness counts name the dominant acquisition order,
+// and the pool engages Options::recovery.gate with that order plus the
+// minority-edge witnesses, so cooperating call sites re-order (or fence)
+// before the cycle can ever close.  Exactly one action fires per reported cycle.  After a poison or
 // delivery the affected monitor's Detector is re-baselined
 // (Detector::rebaseline) from a fresh capture — recovery transitions are
 // out-of-band and must not surface as ST-Rule false positives.  Every
-// action (and every unpoison) is appended to recovery_log() as a trace
-// codec v4 `rcov` record and reported to Options::recovery.sink (rule RC).
+// action (and every completion) is appended to recovery_log() as a trace
+// codec v4 `rcov` record; actions are also reported to
+// Options::recovery.sink (rule RC).
 //
 // Overhead budget (Options::budget): a pool-wide BudgetController bounds
 // total detection spend as a fraction of wall-clock time.  Measurement
@@ -344,7 +348,7 @@ class CheckerPool {
   std::vector<core::OrderEdge> lockorder_edges() const;
 
   /// Recovery actions applied (poisons + deliveries + order impositions;
-  /// excludes unpoison completions).
+  /// excludes recovery completions).
   std::uint64_t recovery_actions() const {
     return recovery_actions_.load(std::memory_order_relaxed);
   }
@@ -357,8 +361,8 @@ class CheckerPool {
   std::uint64_t orders_imposed() const {
     return orders_imposed_.load(std::memory_order_relaxed);
   }
-  /// Recovery completions: sticky poisons cleared after their cycle
-  /// dissolved.
+  /// Recovery completions: checks that resumed detection on a victim
+  /// monitor after its poison ended (see the file comment).
   std::uint64_t monitors_unpoisoned() const {
     return monitors_unpoisoned_.load(std::memory_order_relaxed);
   }
@@ -407,6 +411,10 @@ class CheckerPool {
     /// Serializes the actual checking routine per monitor.  Backend mutex:
     /// held across the capture and the recovery actuators, which block.
     sync::BackendMutex check_mu;
+    /// Detection suspended by a recovery poison the pool cast (check_mu):
+    /// cleared, with a re-baseline, by the first check that reads the
+    /// monitor unpoisoned.
+    bool suspended = false;
     /// The last drained segment (check_mu).  capture() swaps it with
     /// the sink's pending buffer, so the two buffers are recycled instead
     /// of reallocated every check (run_check shrinks one a burst left
@@ -486,9 +494,6 @@ class CheckerPool {
   /// `edges` is the relation snapshot the decision scores witnesses from.
   void act_on_order_cycle(const core::OrderCycle& cycle,
                           const std::vector<core::OrderEdge>& edges);
-  /// Clear sticky poisons whose cycle is no longer confirmed.
-  void complete_recoveries(
-      const std::unordered_set<std::string>& confirmed_keys);
   void log_recovery(trace::RecoveryRecord record);
 
   const util::Clock* clock_;
@@ -538,17 +543,14 @@ class CheckerPool {
   std::unordered_map<std::string, std::vector<core::OrderMonitorId>>
       reported_order_cycles_;
 
-  /// Recovery state.  recovery_mu_ only guards the log and the active
-  /// poison set; actuations never run under mu_/graph_mu_/lockorder_mu_.
+  /// Recovery state.  recovery_mu_ only guards the log; actuations never
+  /// run under mu_/graph_mu_/lockorder_mu_.
   /// Wait-for actuations are additionally serialized by
   /// checkpoint_pass_mu_; order-side actuations are not — they rely on
   /// the Gate's and the counters' own synchronization, so any new shared
   /// state touched from act_on_order_cycle needs its own guard.
   mutable sync::BackendMutex recovery_mu_;
   std::vector<trace::RecoveryRecord> recovery_log_;
-  /// Sticky poisons by cycle key: cleared (and the monitor unpoisoned) by
-  /// the first wait-for pass that no longer confirms the cycle.
-  std::unordered_map<std::string, MonitorId> active_poisons_;
 
   std::atomic<std::uint64_t> checks_executed_{0};
   std::atomic<std::uint64_t> dispatches_{0};

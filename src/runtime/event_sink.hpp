@@ -5,7 +5,7 @@
 // spec (name + timer thresholds + cadence), an interned symbol table, an
 // atomic capture of the event segment recorded since the last checking
 // point together with the scheduling state it ends in, a live snapshot, a
-// loss count, and — when recovery is attached — four actuation hooks.
+// loss count, and — when recovery is attached — three actuation hooks.
 // That surface used to be HoareMonitor's concrete API, which tied every
 // ingestion path to the native monitor implementation.  EventSink extracts it as an abstract
 // interface so external instrumentation (the LD_PRELOAD interposition
@@ -81,12 +81,15 @@ class EventSink {
   // --- Recovery actuation (optional; defaults are inert). -------------------
 
   /// Sticky recovery-poison state; while true the pool suspends detection
-  /// on this sink (out-of-band transitions must not read as violations).
+  /// on this sink (out-of-band transitions must not read as violations),
+  /// and the first check that reads it false re-baselines the detector.
   virtual bool recovery_poisoned() const { return false; }
-  /// Evict every parked waiter and reject would-block calls (sticky).
-  virtual void recovery_poison() {}
-  /// Restore normal service after the cycle dissolved.
-  virtual void unpoison() {}
+  /// Evict every parked waiter and reject would-block calls until the hold
+  /// or ownership carrying `hold_ticket` (the confirmed cycle's hold on
+  /// this monitor) ends; the sink ends the poison itself.
+  virtual void recovery_poison(std::uint64_t hold_ticket) {
+    (void)hold_ticket;
+  }
   /// Wake only `tid` with a recovery fault; false when it is not parked.
   virtual bool deliver_recovery_fault(Tid tid) {
     (void)tid;

@@ -1,5 +1,6 @@
 #include "runtime/hoare_monitor.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -171,7 +172,7 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
       // (a free monitor — e.g. a Release returning a unit) flows, which is
       // what lets a poisoned monitor drain back to service.  No event is
       // recorded: the rejection is out-of-band, like the eviction.
-      if (recovery_poisoned_) return Status::kRecoveryFault;
+      if (recovery_poisoned_locked()) return Status::kRecoveryFault;
       record(EventRecord::enter(pid, proc_id, false, now()));
       // Fault I.a.2: the request is recorded but then lost.
       if (injection_->fire(FaultKind::kEnterRequestLost, pid)) {
@@ -201,7 +202,7 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
     std::lock_guard<sync::SpinLock> lock(mu_);
     StateTraceScope trace_scope(*this);
     if (poisoned_) return Status::kPoisoned;
-    if (recovery_poisoned_) {
+    if (recovery_poisoned_locked()) {
       // The caller owns the monitor; a rejected wait must not leave it
       // claimed (the entry queue is empty while recovery-poisoned, so
       // there is nobody to hand off to).
@@ -468,11 +469,11 @@ bool HoareMonitor::poisoned() const {
   return poisoned_;
 }
 
-void HoareMonitor::recovery_poison() {
+void HoareMonitor::recovery_poison(std::uint64_t hold_ticket) {
   std::vector<Waiter*> parked;
   {
     std::lock_guard<sync::SpinLock> lock(mu_);
-    recovery_poisoned_ = true;
+    poison_ticket_ = hold_ticket;
     for (EqEntry& entry : entry_queue_) {
       if (entry.waiter != nullptr) parked.push_back(entry.waiter);
     }
@@ -492,12 +493,23 @@ void HoareMonitor::recovery_poison() {
 
 void HoareMonitor::unpoison() {
   std::lock_guard<sync::SpinLock> lock(mu_);
-  recovery_poisoned_ = false;
+  poison_ticket_ = 0;
 }
 
 bool HoareMonitor::recovery_poisoned() const {
   std::lock_guard<sync::SpinLock> lock(mu_);
-  return recovery_poisoned_;
+  return recovery_poisoned_locked();
+}
+
+bool HoareMonitor::recovery_poisoned_locked() const {
+  if (poison_ticket_ == 0) return false;
+  const bool held =
+      (owner_ && owner_ticket_ == poison_ticket_) ||
+      std::any_of(holds_.begin(), holds_.end(), [this](const auto& hold) {
+        return hold.second.ticket == poison_ticket_;
+      });
+  if (!held) poison_ticket_ = 0;
+  return held;
 }
 
 bool HoareMonitor::deliver_recovery_fault(trace::Pid pid) {

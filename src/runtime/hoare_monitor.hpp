@@ -151,23 +151,24 @@ class HoareMonitor : public EventSink {
   // --- Recovery plumbing (rt::CheckerPool's recovery hook). -----------------
   //
   // Unlike teardown poison, recovery poison is *survivable*: the monitor
-  // keeps operating and can be restored.  The detector does not see these
-  // transitions as events; the pool re-baselines the monitor's Detector
-  // right after acting (Detector::rebaseline), keeping the ST-Rules'
-  // zero-false-positive contract intact.
+  // keeps operating and restores itself.  The detector does not see these
+  // transitions as events; the pool suspends the monitor's Detector while
+  // the poison lasts and re-baselines it (Detector::rebaseline) once it
+  // has ended, keeping the ST-Rules' zero-false-positive contract intact.
 
   /// Recovery-poison: every parked waiter wakes with kRecoveryFault, and —
-  /// sticky, until unpoison() — every enter()/wait() that WOULD BLOCK
-  /// returns kRecoveryFault instead of parking.  Non-blocking traffic
-  /// still flows: an enter of a free monitor (e.g. a Release returning a
-  /// unit) proceeds normally, so a poisoned monitor drains back toward
-  /// service instead of wedging its holders.  Used to break a confirmed
-  /// deadlock by evicting the victim monitor's waiters.
-  void recovery_poison() override;
+  /// while a hold or ownership carrying `hold_ticket` (the confirmed
+  /// cycle's holder_ticket) exists — every enter()/wait() that WOULD BLOCK
+  /// returns kRecoveryFault instead of parking.  When that hold ends the
+  /// cycle is gone and normal service resumes; a ticket no hold carries
+  /// (0) only evicts.  Non-blocking traffic always flows: an enter of a
+  /// free monitor (e.g. a Release returning a unit) proceeds, so the
+  /// poisoned monitor drains back toward service.
+  void recovery_poison(std::uint64_t hold_ticket) override;
 
-  /// Clear the sticky recovery-poison state: normal service resumes for
-  /// new arrivals (recovery-complete, e.g. the wait-for cycle dissolved).
-  void unpoison() override;
+  /// End the recovery poison now, for direct callers that cast one
+  /// without a hold to end it.
+  void unpoison();
   bool recovery_poisoned() const override;
 
   /// Deliver a designated RecoveryFault to one parked thread: `pid` is
@@ -217,6 +218,8 @@ class HoareMonitor : public EventSink {
   util::TimeNs now() const { return clock_->now_ns(); }
   trace::SchedulingState snapshot_locked() const;  // callers hold mu_
   trace::SymbolId proc_of(trace::Pid pid) const;  // callers hold mu_
+  /// Whether the recovery poison still holds (see poison_ticket_).  mu_ held.
+  bool recovery_poisoned_locked() const;
   void record(const trace::EventRecord& event);
   /// Pop the first admittable entry waiter; nullptr when none.  mu_ held.
   Waiter* pop_admittable();
@@ -262,8 +265,11 @@ class HoareMonitor : public EventSink {
   bool state_trace_enabled_ = false;
   std::vector<trace::SchedulingState> state_trace_;
   bool poisoned_ = false;
-  /// Sticky recovery-poison state (recovery_poison()/unpoison()).
-  bool recovery_poisoned_ = false;
+  /// Ticket of the hold or ownership the recovery poison was cast against;
+  /// 0 = not poisoned.  Cleared lazily, under mu_, by the first read that
+  /// finds no hold or ownership carrying it: tickets are never reused, so
+  /// a poison that has ended cannot revive.
+  mutable std::uint64_t poison_ticket_ = 0;
 };
 
 }  // namespace robmon::rt

@@ -112,7 +112,9 @@ class RobustMonitor {
 
   /// Recovery passthroughs (survivable poison + restore; usually driven by
   /// the pool's recovery hook, exposed for direct policies and tests).
-  void recovery_poison() { monitor_.recovery_poison(); }
+  void recovery_poison(std::uint64_t hold_ticket) {
+    monitor_.recovery_poison(hold_ticket);
+  }
   void unpoison() { monitor_.unpoison(); }
   bool recovery_poisoned() const { return monitor_.recovery_poisoned(); }
   bool deliver_recovery_fault(trace::Pid pid) {

@@ -35,7 +35,8 @@ struct LockOrderRecord {
 ///   'P'  victim monitor poisoned (waiters wake with RecoveryFault),
 ///   'F'  designated RecoveryFault delivered to the victim thread,
 ///   'O'  dominant acquisition order imposed (minority call sites fenced),
-///   'C'  recovery complete — victim monitor unpoisoned, service restored.
+///   'C'  recovery complete — the victim monitor's poison ended with its
+///        hold and detection resumed there.
 /// `victim` / `monitor` / `ticket` identify the chosen victim (kNoPid /
 /// empty / 0 when the action has none, e.g. an order imposition names only
 /// the fenced edge in `detail`).  `detail` is the policy's rationale — the

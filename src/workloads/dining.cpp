@@ -326,8 +326,8 @@ DiningLoadResult run_dining_load(const DiningLoadOptions& options) {
           // Recovery liveness path (poison-victim / deliver-fault): a
           // kRecoveryFault eviction hands the left fork back — which lets
           // the ring drain — then retries the full crossing until it
-          // succeeds (on a poisoned victim monitor that also exercises
-          // unpoison-restores-service).
+          // succeeds (on a poisoned victim monitor that also exercises the
+          // poison ending with its hold and restoring service).
           bool have_left = true;
           for (;;) {
             if (tearing_down.load(std::memory_order_acquire)) {
@@ -452,13 +452,12 @@ DiningLoadResult run_dining_load(const DiningLoadOptions& options) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   if (recovery_on && pool.victims_poisoned() > pool.monitors_unpoisoned()) {
-    // Closing pass: fold fresh snapshots and run one more wait-for pass so
-    // a sticky poison whose cycle has long dissolved completes (unpoisons)
-    // deterministically instead of depending on periodic timing.
+    // Closing pass: every crossing is done, so every poisoned hold has
+    // ended; one check per fork records the completion deterministically
+    // instead of depending on periodic timing.
     for (std::size_t i = 0; i < deadlock_rings * forks_per_ring; ++i) {
       fork_monitors[i]->check_now();
     }
-    pool.run_waitfor_checkpoint();
   }
   tearing_down.store(true, std::memory_order_release);
   phase2_go.store(true, std::memory_order_release);

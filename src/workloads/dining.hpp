@@ -23,8 +23,8 @@
 //   * kPoisonVictim / kDeliverFault — the injected rendezvous cycle closes
 //     for real; the pool's recovery hook breaks it (victim monitor poisoned
 //     or designated fault delivered), evicted philosophers hand back their
-//     left fork and retry the full crossing until it succeeds (so unpoison-
-//     restores-service is exercised too).
+//     left fork and retry the full crossing until it succeeds (so the
+//     poison ending with its hold and restoring service is exercised too).
 //   * kImposeOrder — pre-emption: the injected rings first run a serialized
 //     "parade" (each philosopher briefly holds left+right) that records the
 //     circular acquisition-order relation without any real deadlock; the

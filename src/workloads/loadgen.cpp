@@ -44,6 +44,96 @@ core::MonitorSpec make_spec(const LoadOptions& options) {
   return spec;
 }
 
+/// The monitor fleet both pool scenarios drive: alternating communication
+/// coordinators (even index) and resource allocators (odd index) on one
+/// shared pool, each with its own sink so detections are accounted per
+/// monitor.  The first `faulty` coordinators carry the scripted II.c
+/// injection their fabricated receive needs; each scenario injects the
+/// faults itself.  Wrappers die before their monitors, and monitors
+/// before their sinks (reverse declaration order).
+struct Fleet {
+  std::size_t faulty = 0;
+  std::vector<std::unique_ptr<core::CollectingSink>> sinks;
+  std::vector<std::unique_ptr<inject::ScriptedInjection>> injections;
+  std::vector<std::unique_ptr<rt::RobustMonitor>> monitors;
+  std::vector<std::unique_ptr<BoundedBuffer>> buffers;
+  std::vector<std::unique_ptr<ResourceAllocator>> allocators;
+
+  static bool is_coordinator(std::size_t i) { return i % 2 == 0; }
+
+  /// Detection scorecard: every faulty monitor must report, no clean one.
+  template <typename Result>
+  void score(Result& result) const {
+    result.faults_expected = faulty;
+    for (std::size_t i = 0; i < sinks.size(); ++i) {
+      const bool reported = sinks[i]->count() > 0;
+      if (i < faulty) {
+        if (reported) {
+          ++result.faulty_detected;
+        } else {
+          ++result.missed_detections;
+        }
+      } else if (reported) {
+        ++result.false_positive_monitors;
+      }
+    }
+  }
+};
+
+/// `monitor_count` monitors named `prefix`-i on `pool`, sized and paced by
+/// `options` (MultiLoadOptions or BudgetSpikeOptions).
+template <typename Options>
+Fleet build_fleet(rt::CheckerPool& pool, const std::string& prefix,
+                  std::size_t monitor_count, const Options& options) {
+  const int threads_per_monitor = std::max(1, options.threads_per_monitor);
+  const std::size_t buffer_capacity = std::max<std::size_t>(
+      options.capacity, static_cast<std::size_t>(threads_per_monitor));
+  Fleet fleet;
+  fleet.faulty = std::min(options.faulty_monitors, monitor_count);
+  fleet.buffers.resize(monitor_count);
+  fleet.allocators.resize(monitor_count);
+  for (std::size_t i = 0; i < monitor_count; ++i) {
+    const std::string name = prefix + "-" + std::to_string(i);
+    core::MonitorSpec spec =
+        Fleet::is_coordinator(i)
+            ? core::MonitorSpec::coordinator(
+                  name, static_cast<std::int64_t>(buffer_capacity))
+            : core::MonitorSpec::allocator(name);
+    spec.check_period = options.check_period;
+    spec.t_max = 5 * util::kSecond;
+    spec.t_io = 5 * util::kSecond;
+    spec.t_limit = 5 * util::kSecond;
+
+    fleet.sinks.push_back(std::make_unique<core::CollectingSink>());
+    rt::RobustMonitor::Options monitor_options;
+    monitor_options.checker_pool = &pool;
+    monitor_options.cadence_max_stretch = options.max_stretch;
+    fleet.monitors.push_back(std::make_unique<rt::RobustMonitor>(
+        std::move(spec), *fleet.sinks.back(), monitor_options));
+
+    if (Fleet::is_coordinator(i)) {
+      inject::InjectionController* injection =
+          &inject::NullInjection::instance();
+      if (i < fleet.faulty) {
+        fleet.injections.push_back(
+            std::make_unique<inject::ScriptedInjection>(
+                inject::ScriptedInjection::Plan{
+                    core::FaultKind::kReceiveExceedsSend, trace::kNoPid, 1,
+                    false}));
+        injection = fleet.injections.back().get();
+      }
+      fleet.buffers[i] = std::make_unique<BoundedBuffer>(
+          *fleet.monitors[i], buffer_capacity, *injection);
+    } else {
+      fleet.allocators[i] = std::make_unique<ResourceAllocator>(
+          *fleet.monitors[i],
+          static_cast<std::int64_t>(
+              std::max<std::size_t>(1, options.capacity)));
+    }
+  }
+  return fleet;
+}
+
 }  // namespace
 
 LoadResult run_load(const LoadOptions& options) {
@@ -174,7 +264,6 @@ LoadResult run_load(const LoadOptions& options) {
 MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
   const std::size_t monitor_count = std::max<std::size_t>(1, options.monitors);
   const int threads_per_monitor = std::max(1, options.threads_per_monitor);
-  const std::size_t faulty = std::min(options.faulty_monitors, monitor_count);
 
   // Pool-scoped prediction sink (must stay empty).  Declared before the
   // pool: workers hold a pointer to it, so it must outlive them.
@@ -187,80 +276,31 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
     pool_options.lockorder_sink = &lockorder_sink;
   }
   rt::CheckerPool pool(pool_options);
-
-  // Monitors: alternating communication coordinators (even index) and
-  // resource allocators (odd index), each with its own sink so detections
-  // are accounted per monitor.
-  const auto is_coordinator = [](std::size_t i) { return i % 2 == 0; };
-  const std::size_t buffer_capacity =
-      std::max<std::size_t>(options.capacity,
-                            static_cast<std::size_t>(threads_per_monitor));
-  std::vector<std::unique_ptr<core::CollectingSink>> sinks;
-  std::vector<std::unique_ptr<inject::ScriptedInjection>> injections;
-  std::vector<std::unique_ptr<rt::RobustMonitor>> monitors;
-  std::vector<std::unique_ptr<BoundedBuffer>> buffers(monitor_count);
-  std::vector<std::unique_ptr<ResourceAllocator>> allocators(monitor_count);
-  for (std::size_t i = 0; i < monitor_count; ++i) {
-    core::MonitorSpec spec =
-        is_coordinator(i)
-            ? core::MonitorSpec::coordinator(
-                  "multi-" + std::to_string(i),
-                  static_cast<std::int64_t>(buffer_capacity))
-            : core::MonitorSpec::allocator("multi-" + std::to_string(i));
-    spec.check_period = options.check_period;
-    spec.t_max = 5 * util::kSecond;
-    spec.t_io = 5 * util::kSecond;
-    spec.t_limit = 5 * util::kSecond;
-
-    sinks.push_back(std::make_unique<core::CollectingSink>());
-    rt::RobustMonitor::Options monitor_options;
-    monitor_options.checker_pool = &pool;
-    monitor_options.cadence_max_stretch = options.max_stretch;
-    monitors.push_back(std::make_unique<rt::RobustMonitor>(
-        std::move(spec), *sinks.back(), monitor_options));
-
-    inject::InjectionController* buffer_injection =
-        &inject::NullInjection::instance();
-    if (i < faulty && is_coordinator(i)) {
-      injections.push_back(std::make_unique<inject::ScriptedInjection>(
-          inject::ScriptedInjection::Plan{core::FaultKind::kReceiveExceedsSend,
-                                          trace::kNoPid, 1, false}));
-      buffer_injection = injections.back().get();
-    }
-    if (is_coordinator(i)) {
-      buffers[i] = std::make_unique<BoundedBuffer>(*monitors[i],
-                                                   buffer_capacity,
-                                                   *buffer_injection);
-    } else {
-      allocators[i] = std::make_unique<ResourceAllocator>(
-          *monitors[i],
-          static_cast<std::int64_t>(std::max<std::size_t>(1, options.capacity)));
-    }
-  }
+  Fleet fleet = build_fleet(pool, "multi", monitor_count, options);
 
   // Deterministic fault injection before the measured region: a fabricated
   // receive from an empty buffer (II.c, caught by Algorithm-2 at the next
   // checking point) or a release-before-acquire client (III.a, caught by
   // the real-time phase and confirmed by Algorithm-3).
-  for (std::size_t i = 0; i < faulty; ++i) {
+  for (std::size_t i = 0; i < fleet.faulty; ++i) {
     // Injector pids are globally unique (like the client pids below): the
     // lock-order join matches accesses by pid across monitors, so a pid
     // shared by threads on different monitors would fabricate order edges.
     const trace::Pid inject_pid = 9000 + static_cast<trace::Pid>(i);
-    if (is_coordinator(i)) {
+    if (Fleet::is_coordinator(i)) {
       std::int64_t item = 0;
-      buffers[i]->receive(inject_pid, &item);
+      fleet.buffers[i]->receive(inject_pid, &item);
     } else {
       inject::ScriptedInjection release_early(
           {core::FaultKind::kReleaseBeforeAcquire, trace::kNoPid, 1, false});
       ClientOptions client;
       client.iterations = 1;
-      run_allocator_client(*allocators[i], inject_pid, release_early,
+      run_allocator_client(*fleet.allocators[i], inject_pid, release_early,
                            client);
     }
   }
 
-  for (auto& monitor : monitors) monitor->start_checking();
+  for (auto& monitor : fleet.monitors) monitor->start_checking();
 
   std::vector<std::thread> threads;
   threads.reserve(monitor_count * static_cast<std::size_t>(threads_per_monitor));
@@ -270,8 +310,8 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
     for (int t = 0; t < threads_per_monitor; ++t) {
       const trace::Pid pid =
           100 + static_cast<trace::Pid>(i) * threads_per_monitor + t;
-      if (is_coordinator(i)) {
-        BoundedBuffer* buffer = buffers[i].get();
+      if (Fleet::is_coordinator(i)) {
+        BoundedBuffer* buffer = fleet.buffers[i].get();
         threads.emplace_back([buffer, pid, pairs] {
           std::int64_t item = 0;
           for (std::int64_t k = 0; k < pairs; ++k) {
@@ -280,7 +320,7 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
           }
         });
       } else {
-        ResourceAllocator* allocator = allocators[i].get();
+        ResourceAllocator* allocator = fleet.allocators[i].get();
         threads.emplace_back([allocator, pid, pairs] {
           ClientOptions client;
           client.iterations = static_cast<int>(pairs);
@@ -295,10 +335,10 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
 
   const std::size_t checker_threads = pool.thread_count();
 
-  for (auto& monitor : monitors) monitor->stop_checking();
+  for (auto& monitor : fleet.monitors) monitor->stop_checking();
   // Final synchronous check per monitor: drains the tail segment, so a
   // detection cannot be missed just because the run outpaced the cadence.
-  for (auto& monitor : monitors) monitor->check_now();
+  for (auto& monitor : fleet.monitors) monitor->check_now();
 
   MultiLoadResult result;
   result.seconds = std::chrono::duration<double>(finished - started).count();
@@ -310,8 +350,9 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
           ? static_cast<double>(result.operations) / result.seconds
           : 0.0;
   for (std::size_t i = 0; i < monitor_count; ++i) {
-    result.checks_run += monitors[i]->detector().checks_run();
-    result.events_recorded += monitors[i]->monitor().log().total_appended();
+    result.checks_run += fleet.monitors[i]->detector().checks_run();
+    result.events_recorded +=
+        fleet.monitors[i]->monitor().log().total_appended();
   }
   result.checks_per_second =
       result.seconds > 0
@@ -326,7 +367,7 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
   result.checks_coalesced = pool.checks_coalesced();
   result.events_lost = pool.events_lost();
   for (std::size_t i = 0; i < monitor_count; ++i) {
-    result.idle_checks += monitors[i]->detector().idle_checks();
+    result.idle_checks += fleet.monitors[i]->detector().idle_checks();
   }
   if (engine_checks > 0) {
     result.avg_quiesce_us =
@@ -345,20 +386,7 @@ MultiLoadResult run_multi_load(const MultiLoadOptions& options) {
   result.lockorder_checkpoints = pool.lockorder_checkpoints();
   result.lockorder_edges = pool.lockorder_edge_count();
   result.potential_deadlocks = lockorder_sink.count();
-
-  result.faults_expected = faulty;
-  for (std::size_t i = 0; i < monitor_count; ++i) {
-    const bool reported = sinks[i]->count() > 0;
-    if (i < faulty) {
-      if (reported) {
-        ++result.faulty_detected;
-      } else {
-        ++result.missed_detections;
-      }
-    } else if (reported) {
-      ++result.false_positive_monitors;
-    }
-  }
+  fleet.score(result);
   return result;
 }
 
@@ -384,7 +412,6 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
                                  double fraction) {
   const std::size_t monitor_count = std::max<std::size_t>(2, options.monitors);
   const int threads_per_monitor = std::max(1, options.threads_per_monitor);
-  const std::size_t faulty = std::min(options.faulty_monitors, monitor_count);
 
   // One shared pool carries the budget: the controller sees the spend of
   // every monitor and both checkpoints together.
@@ -402,53 +429,7 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
     pool_options.lockorder_sink = &lockorder_sink;
   }
   rt::CheckerPool pool(pool_options);
-
-  const auto is_coordinator = [](std::size_t i) { return i % 2 == 0; };
-
-  const std::size_t buffer_capacity = std::max<std::size_t>(
-      options.capacity, static_cast<std::size_t>(threads_per_monitor));
-  std::vector<std::unique_ptr<core::CollectingSink>> sinks;
-  std::vector<std::unique_ptr<inject::ScriptedInjection>> injections;
-  std::vector<std::unique_ptr<rt::RobustMonitor>> monitors;
-  std::vector<std::unique_ptr<BoundedBuffer>> buffers(monitor_count);
-  std::vector<std::unique_ptr<ResourceAllocator>> allocators(monitor_count);
-  for (std::size_t i = 0; i < monitor_count; ++i) {
-    core::MonitorSpec spec =
-        is_coordinator(i)
-            ? core::MonitorSpec::coordinator(
-                  "spike-" + std::to_string(i),
-                  static_cast<std::int64_t>(buffer_capacity))
-            : core::MonitorSpec::allocator("spike-" + std::to_string(i));
-    spec.check_period = options.check_period;
-    spec.t_max = 5 * util::kSecond;
-    spec.t_io = 5 * util::kSecond;
-    spec.t_limit = 5 * util::kSecond;
-
-    sinks.push_back(std::make_unique<core::CollectingSink>());
-    rt::RobustMonitor::Options monitor_options;
-    monitor_options.checker_pool = &pool;
-    monitor_options.cadence_max_stretch = options.max_stretch;
-    monitors.push_back(std::make_unique<rt::RobustMonitor>(
-        std::move(spec), *sinks.back(), monitor_options));
-
-    inject::InjectionController* buffer_injection =
-        &inject::NullInjection::instance();
-    if (i < faulty && is_coordinator(i)) {
-      injections.push_back(std::make_unique<inject::ScriptedInjection>(
-          inject::ScriptedInjection::Plan{core::FaultKind::kReceiveExceedsSend,
-                                          trace::kNoPid, 1, false}));
-      buffer_injection = injections.back().get();
-    }
-    if (is_coordinator(i)) {
-      buffers[i] = std::make_unique<BoundedBuffer>(*monitors[i],
-                                                   buffer_capacity,
-                                                   *buffer_injection);
-    } else {
-      allocators[i] = std::make_unique<ResourceAllocator>(
-          *monitors[i],
-          static_cast<std::int64_t>(std::max<std::size_t>(1, options.capacity)));
-    }
-  }
+  Fleet fleet = build_fleet(pool, "spike", monitor_count, options);
 
   // Coordinator faults go in before the run: the fabricated receive needs an
   // empty buffer, and Algorithm 2 catches it at any later checking point —
@@ -457,13 +438,13 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
   // phase is state-independent, so injecting under full degradation proves
   // detection is never shed.  Injector pids stay globally unique (the
   // lock-order join matches accesses by pid across monitors).
-  for (std::size_t i = 0; i < faulty; ++i) {
-    if (!is_coordinator(i)) continue;
+  for (std::size_t i = 0; i < fleet.faulty; ++i) {
+    if (!Fleet::is_coordinator(i)) continue;
     std::int64_t item = 0;
-    buffers[i]->receive(9000 + static_cast<trace::Pid>(i), &item);
+    fleet.buffers[i]->receive(9000 + static_cast<trace::Pid>(i), &item);
   }
 
-  for (auto& monitor : monitors) monitor->start_checking();
+  for (auto& monitor : fleet.monitors) monitor->start_checking();
 
   // Client threads run open-ended op pairs; the driver throttles them all
   // through one shared delay, which is what makes the spike a load change
@@ -478,8 +459,8 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
     for (int t = 0; t < threads_per_monitor; ++t) {
       const trace::Pid pid =
           100 + static_cast<trace::Pid>(i) * threads_per_monitor + t;
-      if (is_coordinator(i)) {
-        BoundedBuffer* buffer = buffers[i].get();
+      if (Fleet::is_coordinator(i)) {
+        BoundedBuffer* buffer = fleet.buffers[i].get();
         threads.emplace_back([buffer, pid, &op_delay, &stop, &operations] {
           std::int64_t item = 0;
           std::int64_t k = 0;
@@ -491,7 +472,7 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
           }
         });
       } else {
-        ResourceAllocator* allocator = allocators[i].get();
+        ResourceAllocator* allocator = fleet.allocators[i].get();
         threads.emplace_back([allocator, pid, &op_delay, &stop, &operations] {
           while (!stop.load(std::memory_order_relaxed)) {
             if (allocator->acquire(pid) != rt::Status::kOk) return;
@@ -545,14 +526,15 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
       std::max<util::TimeNs>(
           1, options.base_op_delay / std::max(1, options.spike_multiplier)),
       std::memory_order_relaxed);
-  for (std::size_t i = 0; i < faulty; ++i) {
-    if (is_coordinator(i)) continue;
+  for (std::size_t i = 0; i < fleet.faulty; ++i) {
+    if (Fleet::is_coordinator(i)) continue;
     inject::ScriptedInjection release_early(
         {core::FaultKind::kReleaseBeforeAcquire, trace::kNoPid, 1, false});
     ClientOptions client;
     client.iterations = 1;
-    run_allocator_client(*allocators[i], 9000 + static_cast<trace::Pid>(i),
-                         release_early, client);
+    run_allocator_client(*fleet.allocators[i],
+                         9000 + static_cast<trace::Pid>(i), release_early,
+                         client);
   }
   sleep_ns(settle(options.spike_ns));
   const auto spike_mid = mark();
@@ -571,7 +553,7 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
 
   stop.store(true, std::memory_order_relaxed);
   for (auto& thread : threads) thread.join();
-  for (auto& monitor : monitors) monitor->stop_checking();
+  for (auto& monitor : fleet.monitors) monitor->stop_checking();
 
   BudgetSpikeResult result;
   result.budget_fraction = fraction;
@@ -584,7 +566,7 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
   result.transitions = pool.budget_transitions();
   result.prediction_sheds = pool.prediction_sheds();
   result.budget_log = pool.budget_log();
-  for (auto& monitor : monitors) monitor->check_now();  // final segment
+  for (auto& monitor : fleet.monitors) monitor->check_now();  // final segment
   // Replay the transition log: every record must chain from the previous
   // level and move exactly one rung — which makes "prediction shed before
   // detection widened" and "recovery retraced the ladder" structural facts
@@ -605,19 +587,7 @@ BudgetSpikeResult run_spike_pass(const BudgetSpikeOptions& options,
   result.operations = operations.load(std::memory_order_relaxed);
   result.events_lost = pool.events_lost();
   result.seconds = static_cast<double>(post_end.t - run_started.t) / 1e9;
-  result.faults_expected = faulty;
-  for (std::size_t i = 0; i < monitor_count; ++i) {
-    const bool reported = sinks[i]->count() > 0;
-    if (i < faulty) {
-      if (reported) {
-        ++result.faulty_detected;
-      } else {
-        ++result.missed_detections;
-      }
-    } else if (reported) {
-      ++result.false_positive_monitors;
-    }
-  }
+  fleet.score(result);
   return result;
 }
 

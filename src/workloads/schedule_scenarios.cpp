@@ -313,8 +313,8 @@ void run_recovery_full(SimScheduler& sched, Recorder& rec,
       "client-d-fenced");
   sched.join_fiber(fiber_e);
 
-  // The cycle dissolved when the clients unwound; the next wait-for
-  // checkpoint completes the recovery by clearing the sticky poison.
+  // The poison ended when the survivor released the hold it was cast
+  // against; the victim monitor's next check completes the recovery.
   rec.expect(poll_until([&] {
                return pool.monitors_unpoisoned() >= 1 &&
                       !m0.recovery_poisoned() && !m1.recovery_poisoned();
@@ -435,7 +435,8 @@ void run_poison_during_wait(SimScheduler& sched, Recorder& rec,
           [&] { return monitor.snapshot().blocked_count() >= kWaiters; })) {
     rec.fail("waiters never parked");
   }
-  monitor.recovery_poison();
+  // Cast against pid 9's hold, the only one.
+  monitor.recovery_poison(monitor.snapshot().holders.at(0).ticket);
   vsleep(500 * kMicrosecond);
   monitor.unpoison();
   allocator.release(9);
@@ -466,7 +467,8 @@ void run_unpoison_races_new_blocker(SimScheduler& sched, Recorder& rec,
     rec.fail("holder could not take the unit");
     return;
   }
-  monitor.recovery_poison();
+  // Cast against pid 9's hold, the only one.
+  monitor.recovery_poison(monitor.snapshot().holders.at(0).ticket);
   int recovery_faults = 0;
   int completed = 0;
   const int restorer = sched.spawn(
@@ -565,13 +567,15 @@ void run_remove_poisoned_monitor(SimScheduler& sched, Recorder& rec,
                 "recovery faults seen");
 
   // Destroy whichever monitor took the poison — the dtor runs
-  // pool.remove() — racing the periodic checkpoints, which may or may not
-  // have completed the unpoison first (both orders are legal and the seed
-  // pins which one this schedule takes).
-  if (m0->recovery_poisoned()) {
+  // pool.remove() — racing its periodic checks: the survivor's release
+  // ended the poison, and a check may or may not have recorded the
+  // completion first (both orders are legal and the seed pins which one
+  // this schedule takes).
+  const std::string victim = pool.recovery_log().at(0).monitor;  // the 'P'
+  if (victim == "f0") {
     f0.reset();
     m0.reset();
-  } else if (m1->recovery_poisoned()) {
+  } else if (victim == "f1") {
     f1.reset();
     m1.reset();
   }

@@ -27,16 +27,18 @@ enum class ScheduleScenario {
   kRecoveryFull,
   /// Confirmed cycle broken by targeted fault delivery (no poison).
   kDeliverToVictim,
-  /// recovery_poison() fired while waiters are parked mid-wait on a
-  /// condition; every parked waiter must evict with kRecoveryFault and
-  /// complete normally after unpoison.
+  /// recovery_poison() (cast against the holder's ticket) fired while
+  /// waiters are parked mid-wait on a condition; every parked waiter must
+  /// evict with kRecoveryFault and complete normally after unpoison.
   kPoisonDuringWait,
-  /// unpoison() racing new blockers arriving at the monitor: arrivals see
-  /// either kRecoveryFault or normal service, never a hang or a crash.
+  /// The explicit unpoison() racing new blockers arriving at the monitor:
+  /// arrivals see either kRecoveryFault or normal service, never a hang or
+  /// a crash.
   kUnpoisonRacesNewBlocker,
-  /// Destroying (pool remove()) the poisoned victim monitor while the
-  /// periodic checkpoints are mid-flight, plus check_now() on a removed
-  /// MonitorId raced against the churn (must return empty, never throw).
+  /// Destroying (pool remove()) the victim monitor right after its poison
+  /// ended, racing the periodic check that records the completion, plus
+  /// check_now() on a removed MonitorId raced against the churn (must
+  /// return empty, never throw).
   kRemovePoisonedMonitor,
   /// A lock-order imposition landing on the gate while crossings are in
   /// flight: the fenced crossing must run exclusively, everyone completes.

@@ -526,6 +526,44 @@ TEST(DetectorTest, DispatchesByMonitorType) {
   EXPECT_EQ(detector.counters().sends, 1);
 }
 
+TEST(DetectorTest, RebaselineKeepsInFlightAcquirersOnTheRequestList) {
+  // A re-baseline discards the segment holding the Enter events of every
+  // acquirer still in flight; each must keep its Request-List entry, or
+  // its eventual Release reads as ST-8b.
+  trace::SymbolTable symbols;
+  CollectingSink sink;
+  const MonitorSpec spec = MonitorSpec::allocator("r");
+  Detector detector(spec, symbols, sink);
+  const SymbolId acquire = symbols.intern(spec.acquire_procedure);
+  const SymbolId release = symbols.intern(spec.release_procedure);
+  const SymbolId available = symbols.intern("available");
+  detector.initialize({});
+
+  SchedulingState state;
+  state.holders.push_back({1, 1, 100, 1});               // holds a unit
+  state.cond_queues.push_back({available, {{2, acquire, 200, 2}}});
+  state.entry_queue.push_back({3, acquire, 300, 3});     // queued to enter
+  state.entry_queue.push_back({4, release, 400, 4});     // not an acquirer
+  state.running = 5;                                     // before note_hold
+  state.running_proc = acquire;
+  detector.rebaseline(state);
+
+  std::vector<EventRecord> releases;
+  for (const trace::Pid pid : {1, 2, 3, 5, 4}) {
+    releases.push_back(EventRecord::enter(pid, release, true, 1000));
+    releases.push_back(
+        EventRecord::signal_exit(pid, release, available, false, 1100));
+  }
+  detector.check(releases, {}, 10 * kMillisecond);
+  std::vector<trace::Pid> unmatched;
+  for (const auto& report : sink.reports()) {
+    if (report.rule == RuleId::kSt8bReleaseWithoutAcquire) {
+      unmatched.push_back(report.pid);
+    }
+  }
+  EXPECT_EQ(unmatched, (std::vector<trace::Pid>{4}));
+}
+
 TEST(DetectorTest, TracksTotalsAcrossChecks) {
   trace::SymbolTable symbols;
   CollectingSink sink;

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,7 +231,8 @@ TEST(RecoveryPoisonTest, ParkedAndArrivingWaitersObserveRecoveryFault) {
   }
   ASSERT_EQ(monitor.snapshot().blocked_count(), 1u);
 
-  monitor.recovery_poison();
+  // Cast against the owner's ownership: sticky while pid 1 stays inside.
+  monitor.recovery_poison(monitor.snapshot().running_ticket);
   parked.join();
   EXPECT_EQ(status2.load(), static_cast<int>(rt::Status::kRecoveryFault));
 
@@ -259,10 +261,11 @@ TEST(RecoveryPoisonTest, ConditionWaiterWakesAndOwnershipIsReleased) {
        ++spin) {
     std::this_thread::sleep_for(std::chrono::microseconds(250));
   }
-  monitor.recovery_poison();
+  // Nobody holds anything: a poison cast against no hold only evicts.
+  monitor.recovery_poison(0);
   waiter.join();
   EXPECT_EQ(status.load(), static_cast<int>(rt::Status::kRecoveryFault));
-  monitor.unpoison();
+  EXPECT_FALSE(monitor.recovery_poisoned());
   // The monitor is free again (the wait released ownership on park).
   EXPECT_EQ(monitor.enter(2, "Acquire"), rt::Status::kOk);
   monitor.exit(2);
@@ -274,7 +277,8 @@ TEST(RecoveryPoisonTest, NonBlockingTrafficFlowsWhilePoisoned) {
   // or the poisoned monitor could never drain back to service.
   util::ManualClock clock(1000);
   HoareMonitor monitor(fork_spec("m"), clock);
-  monitor.recovery_poison();
+  monitor.note_hold(9);  // the hold the poison is cast against
+  monitor.recovery_poison(monitor.snapshot().holders.at(0).ticket);
   EXPECT_EQ(monitor.enter(1, "Release"), rt::Status::kOk);
   monitor.exit(1);
   // A call that would block is still rejected.
@@ -284,14 +288,63 @@ TEST(RecoveryPoisonTest, NonBlockingTrafficFlowsWhilePoisoned) {
   monitor.unpoison();
 }
 
+TEST(RecoveryPoisonTest, PoisonEndsWithTheHoldItWasCastAgainst) {
+  util::ManualClock clock(1000);
+  HoareMonitor monitor(fork_spec("m"), clock);
+  monitor.note_hold(9);
+  monitor.note_hold(9);  // a second unit keeps the same hold episode
+  monitor.note_hold(8);  // another holder's hold is not the poisoned one
+  const auto holders = monitor.snapshot().holders;
+  ASSERT_EQ(holders.size(), 2u);
+  monitor.recovery_poison(holders.at(1).ticket);  // pid 9 (pid-sorted)
+  ASSERT_EQ(monitor.enter(1, "Acquire"), rt::Status::kOk);
+  EXPECT_EQ(monitor.enter(2, "Acquire"), rt::Status::kRecoveryFault);
+  monitor.note_release(9);
+  EXPECT_TRUE(monitor.recovery_poisoned());  // one unit still held
+  monitor.note_release(9);
+  // The hold episode ended: normal service, with no unpoison() call.
+  EXPECT_FALSE(monitor.recovery_poisoned());
+  std::atomic<int> status2{-1};
+  std::thread parked([&] {
+    status2 = static_cast<int>(monitor.enter(2, "Acquire"));
+  });
+  for (int spin = 0; spin < 4000 && monitor.snapshot().blocked_count() < 1;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::microseconds(250));
+  }
+  EXPECT_EQ(monitor.snapshot().blocked_count(), 1u);  // parked, not rejected
+  monitor.exit(1);
+  parked.join();
+  EXPECT_EQ(status2.load(), static_cast<int>(rt::Status::kOk));
+  monitor.exit(2);
+  // A new hold by the same pid is a new episode: the poison stays ended.
+  monitor.note_hold(9);
+  EXPECT_FALSE(monitor.recovery_poisoned());
+}
+
+TEST(RecoveryPoisonTest, PoisonCastAgainstOwnershipEndsAtExit) {
+  util::ManualClock clock(1000);
+  HoareMonitor monitor(fork_spec("m"), clock);
+  ASSERT_EQ(monitor.enter(1, "Acquire"), rt::Status::kOk);
+  monitor.recovery_poison(monitor.snapshot().running_ticket);
+  EXPECT_EQ(monitor.enter(2, "Acquire"), rt::Status::kRecoveryFault);
+  monitor.exit(1);
+  EXPECT_FALSE(monitor.recovery_poisoned());
+  // The next ownership carries a fresh ticket.
+  ASSERT_EQ(monitor.enter(2, "Acquire"), rt::Status::kOk);
+  EXPECT_FALSE(monitor.recovery_poisoned());
+  monitor.exit(2);
+}
+
 TEST(RecoveryPoisonTest, WaitUnderStickyPoisonReleasesOwnership) {
   util::ManualClock clock(1000);
   HoareMonitor monitor(fork_spec("m"), clock);
   ASSERT_EQ(monitor.enter(1, "Acquire"), rt::Status::kOk);
-  monitor.recovery_poison();
-  // The owner's wait is rejected -- and must hand the monitor back.
+  monitor.recovery_poison(monitor.snapshot().running_ticket);
+  // The owner's wait is rejected -- and must hand the monitor back, which
+  // ends the ownership the poison was cast against.
   EXPECT_EQ(monitor.wait(1, "available"), rt::Status::kRecoveryFault);
-  monitor.unpoison();
+  EXPECT_FALSE(monitor.recovery_poisoned());
   EXPECT_EQ(monitor.enter(2, "Acquire"), rt::Status::kOk);
   monitor.exit(2);
 }
@@ -334,6 +387,8 @@ TEST(RecoveryPoisonTest, ChurnAroundPoisonStaysConsistent) {
   // nothing here depends on timing; TSan referees the handoffs.
   util::ManualClock clock(1000);
   HoareMonitor monitor(fork_spec("m"), clock);
+  monitor.note_hold(99);  // keeps every poison below sticky until unpoison
+  const std::uint64_t held = monitor.snapshot().holders.at(0).ticket;
   constexpr int kThreads = 8;
   std::atomic<bool> stop{false};
   std::atomic<int> ok_after_restore{0};
@@ -361,13 +416,14 @@ TEST(RecoveryPoisonTest, ChurnAroundPoisonStaysConsistent) {
     });
   }
   for (int cycle = 0; cycle < 20; ++cycle) {
-    monitor.recovery_poison();
+    monitor.recovery_poison(held);
     clock.advance(kMillisecond);
     std::this_thread::sleep_for(std::chrono::microseconds(300));
     monitor.unpoison();
     std::this_thread::sleep_for(std::chrono::microseconds(300));
   }
   monitor.unpoison();
+  monitor.note_release(99);
   stop.store(true, std::memory_order_release);
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(ok_after_restore.load(), kThreads);
@@ -461,14 +517,27 @@ TEST(PoolRecoveryTest, PoisonVictimBreaksTwoMonitorDeadlock) {
   }
   EXPECT_EQ(recovery_faults.load(), 1);
 
-  // The next checkpoint sees the cycle dissolved and completes the
-  // recovery: the sticky poison is cleared.
+  // The cycle is gone, but the poison lasts as long as the hold it was
+  // cast against: a wait-for pass no longer ends it.
   fx.m0.check_now();
   fx.m1.check_now();
   EXPECT_EQ(fx.pool.run_waitfor_checkpoint(), 0u);
-  EXPECT_EQ(fx.pool.monitors_unpoisoned(), 1u);
+  EXPECT_EQ(fx.pool.monitors_unpoisoned(), 0u);
+  EXPECT_EQ(fx.m0.recovery_poisoned(), m0_poisoned);
+  EXPECT_EQ(fx.m1.recovery_poisoned(), m1_poisoned);
+
+  // The victim monitor's holder (pid 1 on f0, pid 2 on f1) releases: the
+  // poison ends, and the next check completes the recovery.
+  if (m0_poisoned) {
+    ASSERT_EQ(fx.f0.release(1), rt::Status::kOk);
+  } else {
+    ASSERT_EQ(fx.f1.release(2), rt::Status::kOk);
+  }
   EXPECT_FALSE(fx.m0.recovery_poisoned());
   EXPECT_FALSE(fx.m1.recovery_poisoned());
+  fx.m0.check_now();
+  fx.m1.check_now();
+  EXPECT_EQ(fx.pool.monitors_unpoisoned(), 1u);
 
   // A second pass does not act again, and the detectors stay quiet: no
   // ST-Rule false positives from the out-of-band eviction.
@@ -486,6 +555,73 @@ TEST(PoolRecoveryTest, PoisonVictimBreaksTwoMonitorDeadlock) {
   fx.m1.poison();
   t1.join();
   t2.join();
+}
+
+// A poison ends with its hold, not at the next wait-for pass: a fresh
+// crossing on the same forks right after the first episode unwound must
+// block (not be turned away with kRecoveryFault) and be reported and
+// acted on as a cycle of its own.
+TEST(PoolRecoveryTest, FreshCycleAfterPoisonedHoldEndsIsDetected) {
+  RecoveryFixture fx(core::RecoveryRemedy::kPoisonVictim);
+  // One crossing of pid p: `first` is already held; take `second`, then
+  // hand both back.  The evicted victim only returns `first`.
+  const auto crossing = [](wl::ResourceAllocator& first,
+                           wl::ResourceAllocator& second, trace::Pid pid,
+                           std::atomic<int>& status) {
+    status = static_cast<int>(second.acquire(pid));
+    if (status == static_cast<int>(rt::Status::kOk)) second.release(pid);
+    first.release(pid);
+  };
+  for (int episode = 1; episode <= 2; ++episode) {
+    ASSERT_EQ(fx.f0.acquire(1), rt::Status::kOk);
+    ASSERT_EQ(fx.f1.acquire(2), rt::Status::kOk);
+    std::atomic<int> status1{-1};
+    std::atomic<int> status2{-1};
+    std::thread t1(crossing, std::ref(fx.f0), std::ref(fx.f1), 1,
+                   std::ref(status1));
+    std::thread t2(crossing, std::ref(fx.f1), std::ref(fx.f0), 2,
+                   std::ref(status2));
+    fx.wait_blocked(fx.m0, 1);
+    fx.wait_blocked(fx.m1, 1);
+    const bool blocked = fx.m0.snapshot().blocked_count() == 1 &&
+                         fx.m1.snapshot().blocked_count() == 1;
+    EXPECT_TRUE(blocked) << "episode " << episode
+                         << ": a crossing was turned away instead of blocking";
+    if (!blocked) {
+      fx.m0.poison();
+      fx.m1.poison();
+      t1.join();
+      t2.join();
+      return;
+    }
+
+    fx.m0.check_now();
+    fx.m1.check_now();
+    EXPECT_EQ(fx.pool.run_waitfor_checkpoint(), 1u) << "episode " << episode;
+    // Reported and acted on, once per episode.
+    EXPECT_EQ(fx.pool.deadlocks_reported(), static_cast<unsigned>(episode));
+    EXPECT_EQ(fx.pool.victims_poisoned(), static_cast<unsigned>(episode));
+    t1.join();
+    t2.join();
+    // The victim was evicted; the survivor crossed and released every
+    // hold, so the poison has ended although no wait-for pass ran since.
+    EXPECT_EQ((status1 == static_cast<int>(rt::Status::kRecoveryFault)) +
+                  (status2 == static_cast<int>(rt::Status::kRecoveryFault)),
+              1);
+    EXPECT_FALSE(fx.m0.recovery_poisoned());
+    EXPECT_FALSE(fx.m1.recovery_poisoned());
+  }
+  // The first episode's completion was recorded by the second episode's
+  // checks; the second one's by these.
+  fx.m0.check_now();
+  fx.m1.check_now();
+  EXPECT_EQ(fx.pool.monitors_unpoisoned(), 2u);
+  EXPECT_EQ(fx.reports_with(RuleId::kRecoveryAction), 2u);
+  for (const auto& report : fx.sink.reports()) {
+    EXPECT_TRUE(report.rule == RuleId::kWfCycleDetected ||
+                report.rule == RuleId::kRecoveryAction)
+        << core::to_string(report.rule) << ": " << report.message;
+  }
 }
 
 TEST(PoolRecoveryTest, DeliverFaultWakesVictimWithoutPoisoning) {
@@ -565,9 +701,15 @@ TEST(PoolRecoveryTest, RecoveryLogRecordsActionsAndCompletions) {
   fx.m0.check_now();
   fx.m1.check_now();
   fx.pool.run_waitfor_checkpoint();
+  // The victim monitor's holder releases, ending the poison; the next
+  // check completes the recovery.
+  if (fx.m0.recovery_poisoned()) {
+    ASSERT_EQ(fx.f0.release(1), rt::Status::kOk);
+  } else {
+    ASSERT_EQ(fx.f1.release(2), rt::Status::kOk);
+  }
   fx.m0.check_now();
   fx.m1.check_now();
-  fx.pool.run_waitfor_checkpoint();  // completes the poison
 
   const std::vector<trace::RecoveryRecord> log = fx.pool.recovery_log();
   ASSERT_EQ(log.size(), 2u);

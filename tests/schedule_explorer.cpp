@@ -38,37 +38,37 @@ using wl::ScheduleScenario;
 // point, so a change to the locks a destructor takes can move a digest
 // without changing the scorecard.
 const CorpusRow kCorpus[] = {
-    {ScheduleScenario::kRecoveryFull, 1, 0x9312b312c74355d1ULL,
+    {ScheduleScenario::kRecoveryFull, 1, 0x70ba1e2fe3f94d7bULL,
      "wf=1 lo=2 act=3 poison=1 deliver=0 unpoison=1 impose=2 fenced=1 "
      "rf=1 reports=6"},
-    {ScheduleScenario::kRecoveryFull, 2, 0x6634891fcb53d66dULL,
+    {ScheduleScenario::kRecoveryFull, 2, 0xa737e68344a8afa1ULL,
      "wf=1 lo=2 act=3 poison=1 deliver=0 unpoison=1 impose=2 fenced=1 "
      "rf=1 reports=6"},
-    {ScheduleScenario::kDeliverToVictim, 1, 0x2e4f2a6fccef0d47ULL,
+    {ScheduleScenario::kDeliverToVictim, 1, 0x780d70484440eda4ULL,
      "wf=1 lo=0 act=1 poison=0 deliver=1 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kDeliverToVictim, 2, 0x0d7e21a2bf10dc90ULL,
+    {ScheduleScenario::kDeliverToVictim, 2, 0x5aca443b707a434fULL,
      "wf=1 lo=0 act=1 poison=0 deliver=1 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kPoisonDuringWait, 1, 0x40e8b58c91b03023ULL,
+    {ScheduleScenario::kPoisonDuringWait, 1, 0x020608ec42cf2c0cULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=9 reports=0"},
     {ScheduleScenario::kPoisonDuringWait, 2, 0x769854bb904e0382ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=9 reports=0"},
-    {ScheduleScenario::kUnpoisonRacesNewBlocker, 1, 0x81b50592941369d8ULL,
+    {ScheduleScenario::kUnpoisonRacesNewBlocker, 1, 0x7b18be27df89f205ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=6 reports=0"},
-    {ScheduleScenario::kUnpoisonRacesNewBlocker, 2, 0xdb3062a0b7420ac6ULL,
+    {ScheduleScenario::kUnpoisonRacesNewBlocker, 2, 0x0fc5db38e6eeb7a6ULL,
      "wf=0 lo=0 act=0 poison=0 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=6 reports=0"},
-    {ScheduleScenario::kRemovePoisonedMonitor, 1, 0x91c7c8e822f76aedULL,
+    {ScheduleScenario::kRemovePoisonedMonitor, 1, 0x4c6c2e1d0e4a681fULL,
      "wf=1 lo=0 act=1 poison=1 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kRemovePoisonedMonitor, 2, 0x841806540edbd02bULL,
+    {ScheduleScenario::kRemovePoisonedMonitor, 2, 0xe8120b15b14c786cULL,
      "wf=1 lo=0 act=1 poison=1 deliver=0 unpoison=0 impose=0 fenced=0 "
      "rf=1 reports=2"},
-    {ScheduleScenario::kGateImpositionRacesCrossing, 1, 0x8c9fabec44424f71ULL,
+    {ScheduleScenario::kGateImpositionRacesCrossing, 1, 0x5efae49c4c6b7163ULL,
      "wf=0 lo=1 act=1 poison=0 deliver=0 unpoison=0 impose=1 fenced=14 "
      "rf=0 reports=2"},
     {ScheduleScenario::kGateImpositionRacesCrossing, 2, 0x8ca5249ad18cb010ULL,
