@@ -90,8 +90,6 @@ std::size_t run_algorithm1(const CheckContext& ctx,
                            const trace::SchedulingState& current,
                            const std::vector<trace::EventRecord>& events) {
   std::size_t violations = 0;
-  auto note = [&violations](auto&&...) {};
-  (void)note;
 
   CheckingLists lists = CheckingLists::from_state(prev);
   // Entries on Enter-0-List and every Wait-Cond-List, kept in step with the

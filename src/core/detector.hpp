@@ -65,6 +65,13 @@ class Detector {
 
   const MonitorSpec& spec() const { return spec_; }
   const ResourceCounters& counters() const { return counters_; }
+  /// No Request-List entry is open and no user assertion is registered:
+  /// the only rule state a check over an empty segment and an unchanged,
+  /// unoccupied state could still fire on (ST-8c's timer, an assertion)
+  /// is absent.  Call where check() may not run concurrently.
+  bool quiescent() const {
+    return requests_.entries.empty() && assertions_.empty();
+  }
 
   /// Totals over the detector's lifetime.  Atomic: tests and benches poll
   /// them while a pool worker runs check().

@@ -15,7 +15,6 @@ WaitContribution make_wait_contribution(WaitMonitorId monitor,
   WaitContribution contribution;
   contribution.monitor = monitor;
   contribution.name = std::move(name);
-  contribution.captured_at = state.captured_at;
   for (const auto& entry : state.entry_queue) {
     contribution.waits.push_back(
         {entry.pid, std::string(), entry.enqueued_at, entry.ticket});

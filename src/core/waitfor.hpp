@@ -23,10 +23,11 @@
 // unblocks it — which a cycle cannot soundly encode; such monitors emit no
 // resource edges (conservative: detection may be missed, never fabricated).
 //
-// Each monitor's edge set is replaced wholesale when the pool drains it,
-// tagged with the snapshot timestamp it came from.  Candidates are never
-// filtered by age, since a monitor checked slower than the checkpoint
-// cadence would then be invisible.  Exactness comes from validation
+// Each monitor's edge set is replaced wholesale at every full check of the
+// monitor; a check the evidence gate answers leaves it in place, since the
+// state it came from has not changed.  Candidates are never filtered by
+// age, since a monitor checked slower than the checkpoint cadence would
+// then be invisible.  Exactness comes from validation
 // instead: candidate cycles are confirmed against live re-snapshots, so
 // there are zero false positives when a cycle resolves before the
 // checkpoint — see CheckerPool::run_waitfor_checkpoint.
@@ -54,7 +55,6 @@ using WaitMonitorId = std::uint64_t;
 struct WaitContribution {
   WaitMonitorId monitor = 0;
   std::string name;           ///< spec().name, for diagnostics.
-  util::TimeNs captured_at = 0;
 
   struct Wait {
     Tid pid = kNoTid;

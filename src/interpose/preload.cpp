@@ -15,7 +15,9 @@
 // to deadlock against itself (see the argument in interpose/runtime.hpp).
 //
 // Lock fast path: a successful real trylock means no blocking was ever
-// observable, so only an acquire is recorded.  A failed trylock records
+// observable, so only an acquire is recorded.  "Successful" includes
+// EOWNERDEAD: a robust mutex's dead owner hands it to the caller, locked
+// (see acquired() below).  A failed trylock records
 // the entry-queue wait BEFORE the real (blocking) lock — the wait-for
 // graph must see the thread parked while it actually is — and the
 // acquire (or a cancellation, e.g. EDEADLK) after it returns.  Unlock is
@@ -35,6 +37,8 @@
 #include <dlfcn.h>
 #include <pthread.h>
 
+#include <cerrno>
+
 #include "interpose/runtime.hpp"
 #include "interpose/synthetic_monitor.hpp"
 
@@ -44,6 +48,12 @@ using robmon::interpose::ReentryGuard;
 using robmon::interpose::Runtime;
 using robmon::interpose::SyntheticMonitor;
 using robmon::interpose::self_tid;
+
+/// Whether a lock or trylock result leaves the caller holding the mutex:
+/// success, or EOWNERDEAD from a robust mutex whose owner died (the caller
+/// now owns it and must make it consistent).  Every other code means not
+/// acquired, and each wrapper returns libc's code unchanged either way.
+bool acquired(int rc) { return rc == 0 || rc == EOWNERDEAD; }
 
 template <typename Fn>
 Fn resolve(const char* name) {
@@ -87,13 +97,16 @@ int pthread_mutex_lock(pthread_mutex_t* mutex) {
       Runtime::instance().monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
   if (monitor == nullptr) return real(mutex);
   const robmon::Tid tid = self_tid();
-  if (real_try(mutex) == 0) {
+  // An EOWNERDEAD from the trylock has already acquired the mutex: the
+  // blocking lock below would wait on the caller itself.
+  const int tried = real_try(mutex);
+  if (acquired(tried)) {
     monitor->lock_acquired(tid);
-    return 0;
+    return tried;
   }
   monitor->lock_blocked(tid);
   const int rc = real(mutex);
-  if (rc == 0) {
+  if (acquired(rc)) {
     monitor->lock_acquired(tid);
   } else {
     monitor->lock_cancelled(tid);
@@ -108,7 +121,7 @@ int pthread_mutex_trylock(pthread_mutex_t* mutex) {
   SyntheticMonitor* monitor =
       Runtime::instance().monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
   const int rc = real(mutex);
-  if (rc == 0 && monitor != nullptr) monitor->lock_acquired(self_tid());
+  if (acquired(rc) && monitor != nullptr) monitor->lock_acquired(self_tid());
   return rc;
 }
 

@@ -111,6 +111,7 @@ void SyntheticMonitor::record(const trace::EventRecord& event) {
 
 void SyntheticMonitor::lock_blocked(Tid tid) {
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   const util::TimeNs now = clock_->now_ns();
   entry_queue_.push_back({tid, proc_lock_, now, new_ticket()});
   entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
@@ -125,6 +126,7 @@ void SyntheticMonitor::lock_acquired(Tid tid) {
     return;
   }
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   const util::TimeNs now = clock_->now_ns();
   const std::size_t queued = entry_queue_.size();
   erase_entry(entry_queue_, tid);
@@ -140,6 +142,7 @@ void SyntheticMonitor::lock_acquired(Tid tid) {
 
 void SyntheticMonitor::lock_cancelled(Tid tid) {
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   erase_entry(entry_queue_, tid);
   entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
 }
@@ -150,6 +153,7 @@ void SyntheticMonitor::unlocked(Tid tid) {
     return;
   }
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   if (release_owner(tid)) {
     record(trace::EventRecord::signal_exit(tid, proc_lock_, trace::kNoSymbol,
                                            !entry_queue_.empty(),
@@ -159,6 +163,7 @@ void SyntheticMonitor::unlocked(Tid tid) {
 
 void SyntheticMonitor::cond_parked(Tid tid) {
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   const util::TimeNs now = clock_->now_ns();
   cond_queue_.push_back({tid, proc_wait_, now, new_ticket()});
   record(trace::EventRecord::wait(tid, proc_wait_, cond_sym_, now));
@@ -166,6 +171,7 @@ void SyntheticMonitor::cond_parked(Tid tid) {
 
 void SyntheticMonitor::cond_unparked(Tid tid) {
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   erase_entry(cond_queue_, tid);
 }
 
@@ -174,6 +180,7 @@ void SyntheticMonitor::cond_signalled(Tid tid, bool /*broadcast*/) {
   // signal and broadcast in the reduced model.
   if (!recording_) return;
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   record(trace::EventRecord::signal_exit(tid, proc_signal_, cond_sym_,
                                          !cond_queue_.empty(),
                                          clock_->now_ns()));
@@ -181,6 +188,7 @@ void SyntheticMonitor::cond_signalled(Tid tid, bool /*broadcast*/) {
 
 void SyntheticMonitor::reset() {
   std::lock_guard<std::mutex> lock(queue_mu_);
+  touch_queues();
   entry_queue_.clear();
   cond_queue_.clear();
   entry_waiters_.store(0, std::memory_order_relaxed);

@@ -60,6 +60,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,14 @@ class SyntheticMonitor final : public rt::EventSink {
   /// through the seqlock, as in snapshot().
   trace::SchedulingState capture(std::vector<trace::EventRecord>& out) override;
   std::uint64_t events_lost() const override { return log_.events_lost(); }
+  /// The owner seqlock's version plus a queue version that every
+  /// producer section under queue_mu_ moves.  Not an event count: with
+  /// recording off (the default) nothing is recorded at all, and the
+  /// uncontended lock/unlock fast paths change the owner without queue_mu_.
+  std::optional<std::uint64_t> state_version() const override {
+    return owner_version_.load(std::memory_order_relaxed) +
+           queue_version_.load(std::memory_order_relaxed);
+  }
   trace::SchedulingState snapshot() const override;
 
   // --- Introspection / export. ----------------------------------------------
@@ -156,6 +165,11 @@ class SyntheticMonitor final : public rt::EventSink {
   bool release_owner(Tid tid);
   /// Append to the log when recording.  queue_mu_ held.
   void record(const trace::EventRecord& event);
+  /// Move queue_version_.  queue_mu_ held (the single writer).
+  void touch_queues() {
+    queue_version_.store(queue_version_.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+  }
   /// snapshot() / capture() body.  queue_mu_ held.
   trace::SchedulingState snapshot_locked() const;
   /// Remove `tid`'s entry from `queue`, if any.  queue_mu_ held.
@@ -194,6 +208,9 @@ class SyntheticMonitor final : public rt::EventSink {
   /// entry_queue_.size(), written under queue_mu_: lets lock_acquired skip
   /// the lock when nobody (itself included) is queued.
   std::atomic<std::size_t> entry_waiters_{0};
+  /// Moved by every producer section under queue_mu_ (a queue change or a
+  /// recorded event); half of state_version().
+  std::atomic<std::uint64_t> queue_version_{0};
   /// Owner-serialized by queue_mu_ (see EventLog's contract).
   trace::EventLog log_;
 };

@@ -108,7 +108,7 @@ CheckerPool::MonitorId CheckerPool::add_impl(EventSink& source,
                                              core::Detector* detector,
                                              MonitorOptions options) {
   // Detector-less sources pace themselves: cadence (and the timer clamp in
-  // update_cadence_locked) come from the source's own spec.
+  // retire_check_locked) come from the source's own spec.
   const util::TimeNs requested_period = detector != nullptr
                                             ? detector->spec().check_period
                                             : source.spec().check_period;
@@ -161,6 +161,9 @@ void CheckerPool::schedule(MonitorId id) {
   entry.stretch = 1.0;
   entry.ewma_events = 0.0;
   entry.effective_period = entry.period;
+  // The first check of the episode runs in full: it re-contributes what
+  // unschedule() withdrew from the wait-for graph.
+  entry.quiet = false;
   heap_.push({wall_now() + entry.period, id, entry.generation});
   if (waitfor_enabled() && !checkpoint_scheduled_) {
     heap_.push({wall_now() + waitfor_period_, kCheckpointId, 0});
@@ -180,6 +183,9 @@ void CheckerPool::unschedule(MonitorId id) {
   if (it == entries_.end()) return;
   Entry& entry = *it->second;
   entry.scheduled = false;
+  // A quiet entry vouches that the graphs hold its last full check's
+  // contribution; the withdrawal below ends that.
+  entry.quiet = false;
   ++entry.generation;  // invalidates every heap item for this monitor
   idle_cv_.wait(lock, [&entry] { return entry.busy == 0; });
   // Withdraw the wait-for contribution: it would never be refreshed again
@@ -248,18 +254,17 @@ core::Detector::CheckStats CheckerPool::check_now(MonitorId id) {
   // A synchronous check runs on the caller's thread, so under a budget its
   // cost is in-path spend: measure and fold every one.
   const util::TimeNs started = budget_.enabled() ? cpu_now() : 0;
-  core::Detector::CheckStats stats;
-  bool occupied = false;
+  CheckOutcome outcome;
   {
     std::lock_guard<sync::BackendMutex> check_lock(entry->check_mu);
-    stats = run_check(*entry, clock_->now_ns(), &occupied);
+    outcome = run_check(*entry, clock_->now_ns());
   }
   {
     std::lock_guard<sync::BackendMutex> lock(mu_);
-    update_cadence_locked(*entry, stats, occupied);
+    retire_check_locked(*entry, outcome);
   }
   if (budget_.enabled()) budget_.record_batch(cpu_now() - started, wall_now());
-  return stats;
+  return outcome.stats;
 }
 
 std::size_t CheckerPool::thread_count() const {
@@ -309,11 +314,13 @@ double CheckerPool::stretch(MonitorId id) const {
   return it->second->stretch;
 }
 
-core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
-                                                  util::TimeNs rule_now,
-                                                  bool* occupied_out) {
+CheckerPool::CheckOutcome CheckerPool::run_check(Entry& entry,
+                                                 util::TimeNs rule_now) {
   const util::TimeNs started = wall_now();
   std::vector<trace::EventRecord>& segment = entry.segment;
+  // The gate's probe is read before the capture, so a change racing the
+  // capture reads as a change at the next due check, never as none.
+  const std::optional<std::uint64_t> version = entry.monitor->state_version();
   // While a monitor is recovery-poisoned its traffic is out-of-band by
   // definition (evictions and would-block rejections record no events,
   // but admitted non-blocking calls still record theirs), so replaying
@@ -329,7 +336,12 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
   // these private copies, so the monitor keeps serving meanwhile.
   const trace::SchedulingState state = entry.monitor->capture(segment);
   const util::TimeNs captured = wall_now();
-  core::Detector::CheckStats stats;
+  CheckOutcome outcome;
+  core::Detector::CheckStats& stats = outcome.stats;
+  // The rule state a later check could still fire on over an unchanged
+  // state is absent (see Detector::quiescent); never while detection is
+  // suspended or being resumed.
+  bool at_rest = false;
   if (poisoned) {
     stats.idle = true;
   } else if (entry.suspended) {
@@ -344,6 +356,7 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
                   "recovery complete: the poisoned hold ended"});
   } else if (entry.detector != nullptr) {
     stats = entry.detector->check(segment, state, rule_now);
+    at_rest = entry.detector->quiescent();
   } else {
     // Detector-less sinks (interposition adapters) skip the per-monitor
     // algorithms — their synthetic stream is not a faithful Hoare history
@@ -352,6 +365,7 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
     // wait-for and lock-order contributions.
     stats.events = segment.size();
     stats.idle = segment.empty();
+    at_rest = true;
   }
   const util::TimeNs finished = wall_now();
   checks_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -359,18 +373,22 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
                               std::memory_order_relaxed);
   total_check_ns_.fetch_add(static_cast<std::uint64_t>(finished - started),
                             std::memory_order_relaxed);
-  if (occupied_out != nullptr) {
-    *occupied_out = state.has_running() || state.blocked_count() > 0;
-  }
+  outcome.occupied = state.has_running() || state.blocked_count() > 0;
   if (waitfor_enabled()) contribute_wait_edges(entry, state);
-  if (lockorder_enabled() && !budget_.shed_prediction()) {
-    // Shed with the prediction checkpoint: the per-check fold is the other
-    // half of prediction's cost (the observe() join).  Edges missed while
-    // shed are simply not recorded — the relation is advisory, and the
-    // certified-interval join never fabricates, so resuming is safe.
-    contribute_lock_order(entry, state);
-  }
+  // Shed with the prediction checkpoint: the per-check fold is the other
+  // half of prediction's cost (the observe() join).  Edges missed while
+  // shed are simply not recorded — the relation is advisory, and the
+  // certified-interval join never fabricates, so resuming is safe.
+  const bool order_shed = lockorder_enabled() && budget_.shed_prediction();
+  if (lockorder_enabled() && !order_shed) contribute_lock_order(entry, state);
   if (entry.options.on_checkpoint) entry.options.on_checkpoint(state);
+  // Quiet: every later check over this state, with nothing recorded since,
+  // would replay nothing and fire nothing (see the header comment).  A
+  // shed order fold left an older access set behind, so it does not count.
+  if (version && at_rest && stats.violations == 0 && !outcome.occupied &&
+      state.holders.empty() && !order_shed && !entry.options.on_checkpoint) {
+    outcome.quiet_at = version;
+  }
   // The two buffers that circulate between the log and entry.segment keep
   // the largest capacity either ever needed.  A check delayed by a few
   // periods drains a burst many times the usual segment, and without this
@@ -381,11 +399,19 @@ core::Detector::CheckStats CheckerPool::run_check(Entry& entry,
     smaller.reserve(2 * segment.size());
     segment.swap(smaller);
   }
-  return stats;
+  return outcome;
 }
 
-void CheckerPool::update_cadence_locked(
-    Entry& entry, const core::Detector::CheckStats& stats, bool occupied) {
+bool CheckerPool::gate_holds_locked(const Entry& entry) const {
+  return entry.quiet && entry.monitor->state_version() == entry.quiet_version;
+}
+
+void CheckerPool::retire_check_locked(Entry& entry,
+                                      const CheckOutcome& outcome) {
+  entry.quiet = outcome.quiet_at.has_value();
+  entry.quiet_version = outcome.quiet_at.value_or(0);
+  const core::Detector::CheckStats& stats = outcome.stats;
+  const bool occupied = outcome.occupied;
   // Budget degradation feeds the same controller: level ≥ kStretch lifts
   // the idle-stretch ceiling (first shed step — idle monitors are checked
   // even more lazily, which costs nothing in detection latency thanks to
@@ -450,6 +476,20 @@ util::TimeNs CheckerPool::next_due_locked(const Entry& entry,
       static_cast<std::uint64_t>((finished - next) / period) + 1;
   checks_coalesced_.fetch_add(missed, std::memory_order_relaxed);
   return finished + period;
+}
+
+void CheckerPool::finish_slot_locked(const BatchSlot& slot) {
+  Entry& entry = *slot.entry;
+  // Deadlines restart from the item's original due time, so checks the
+  // window pulled forward keep their cadence grid; a check that outlasted
+  // its period slips the grid instead.
+  if (entry.scheduled && entry.generation == slot.item.generation) {
+    retire_check_locked(entry, slot.outcome);
+    heap_.push({next_due_locked(entry, slot.item.due, wall_now()),
+                slot.item.id, slot.item.generation});
+    work_cv_.notify_one();
+  }
+  --entry.busy;
 }
 
 void CheckerPool::contribute_wait_edges(const Entry& entry,
@@ -630,6 +670,10 @@ CheckerPool::Entry* CheckerPool::pin_entry(MonitorId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return nullptr;
   ++it->second->busy;  // remove() waits for busy == 0
+  // The action re-baselines the detector: the next check runs in full.  A
+  // check landing between here and the action cannot re-arm the gate
+  // across it, since both remedies move the monitor's state version.
+  it->second->quiet = false;
   return it->second.get();
 }
 
@@ -809,7 +853,7 @@ void CheckerPool::worker_loop() {
       }
       heap_.pop();
       ++it->second->busy;
-      batch.push_back({it->second.get(), item, {}, false});
+      batch.push_back({it->second.get(), item, {}});
     }
     if (batch.empty()) continue;  // everything popped was stale
     dispatches_.fetch_add(1, std::memory_order_relaxed);
@@ -833,11 +877,23 @@ void CheckerPool::worker_loop() {
       // Slots run sequentially, so an unschedule()/remove() issued after
       // batch formation may have landed before this slot's turn: re-check
       // under mu_ and skip the now-pointless check (dropping the pin
-      // immediately) instead of making the caller wait on it.
+      // immediately) instead of making the caller wait on it.  The
+      // evidence gate is read under the same lock: a quiet monitor whose
+      // version has not moved is answered here, with no check_mu, capture
+      // or graph fold.  Reading it at the slot's turn, not when the batch
+      // formed, keeps the instant a change is first seen where the capture
+      // would have seen it, so the gate does not move detection latency.
       {
         std::lock_guard<sync::BackendMutex> relock(mu_);
         if (!entry.scheduled || entry.generation != slot.item.generation) {
           --entry.busy;
+          slot.entry = nullptr;
+        } else if (gate_holds_locked(entry)) {
+          slot.outcome = {};  // no events, unoccupied, still quiet
+          slot.outcome.stats.idle = true;
+          slot.outcome.quiet_at = entry.quiet_version;
+          checks_executed_.fetch_add(1, std::memory_order_relaxed);
+          finish_slot_locked(slot);
           slot.entry = nullptr;
         }
       }
@@ -847,7 +903,7 @@ void CheckerPool::worker_loop() {
       }
       {
         std::lock_guard<sync::BackendMutex> check_lock(entry.check_mu);
-        slot.stats = run_check(entry, rule_now, &slot.occupied);
+        slot.outcome = run_check(entry, rule_now);
       }
       // Retire the slot as soon as its check completes — cadence update,
       // reschedule, busy release — so a waiting unschedule()/remove() of
@@ -856,16 +912,7 @@ void CheckerPool::worker_loop() {
       // safe before the busy drop: remove() may free it right after.
       {
         std::lock_guard<sync::BackendMutex> relock(mu_);
-        // Deadlines restart from the item's original due time, so checks
-        // the window pulled forward keep their cadence grid; a check that
-        // outlasted its period slips the grid instead.
-        if (entry.scheduled && entry.generation == slot.item.generation) {
-          update_cadence_locked(entry, slot.stats, slot.occupied);
-          heap_.push({next_due_locked(entry, slot.item.due, wall_now()),
-                      slot.item.id, slot.item.generation});
-          work_cv_.notify_one();
-        }
-        --entry.busy;
+        finish_slot_locked(slot);
       }
       idle_cv_.notify_all();
     }

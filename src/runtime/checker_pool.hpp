@@ -24,6 +24,20 @@
 // dispatch per check.  Checks pulled forward by the window are rescheduled
 // from their *original* deadline, so the cadence grid is preserved.
 //
+// Evidence gate: a due check of a monitor whose state has not changed
+// since its last full check, when that check left the monitor *quiet*, is
+// answered at its batch slot, under the relock that slot takes anyway, by
+// one read of EventSink::state_version() — no check_mu, no capture, no
+// Algorithms 1-3, no wait-for or lock-order fold.  Quiet means the check
+// saw nobody running, queued or holding, no open Request-List entry or
+// user assertion, no violation, no poison or suspended detection, and
+// folded its lock-order contribution (prediction not shed), and the entry
+// has no on_checkpoint callback.  The check the gate answers would have
+// read an empty segment and s_t == s_p with every timer rule vacuous, so
+// it could change no verdict; it still counts in checks_executed() and
+// feeds the cadence controller as an idle check.  check_now() always runs
+// in full.
+//
 // Backlog: when a check outlasts its (effective) period, the next deadline
 // is already in the past.  The pool slips the grid — the missed slots are
 // absorbed by the next check (the drained segment covers them) and counted
@@ -134,6 +148,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -291,7 +306,10 @@ class CheckerPool {
   /// Current stretch factor in [1, max_stretch].
   double stretch(MonitorId id) const;
 
-  /// Checks executed through this pool (periodic + check_now).
+  /// Due checks answered by this pool (periodic + check_now), including
+  /// the ones the evidence gate answers without running the algorithms.
+  /// Detector::checks_run()/idle_checks() count only algorithm runs, so
+  /// the gated checks of a monitor are the difference of the two.
   std::uint64_t checks_executed() const {
     return checks_executed_.load(std::memory_order_relaxed);
   }
@@ -415,6 +433,11 @@ class CheckerPool {
     /// cleared, with a re-baseline, by the first check that reads the
     /// monitor unpoisoned.
     bool suspended = false;
+    /// Evidence gate (mu_): the last full check left the monitor quiet,
+    /// and `quiet_version` is the state version read before its capture.
+    /// A due check finding the version unmoved is answered without running.
+    bool quiet = false;
+    std::uint64_t quiet_version = 0;
     /// The last drained segment (check_mu).  capture() swaps it with
     /// the sink's pending buffer, so the two buffers are recycled instead
     /// of reallocated every check (run_check shrinks one a burst left
@@ -429,13 +452,21 @@ class CheckerPool {
     bool operator>(const HeapItem& other) const { return due > other.due; }
   };
 
+  /// What one check leaves for the cadence controller and the gate.
+  struct CheckOutcome {
+    core::Detector::CheckStats stats;
+    bool occupied = false;  ///< Snapshot showed running/queued processes.
+    /// Set when the check left the monitor quiet: the state version read
+    /// before its capture.
+    std::optional<std::uint64_t> quiet_at;
+  };
+
   /// One batch slot: the pinned entry plus the heap item it came from and
   /// the check's outcome (for cadence/reschedule under the relock).
   struct BatchSlot {
     Entry* entry = nullptr;
     HeapItem item;
-    core::Detector::CheckStats stats;
-    bool occupied = false;  ///< Snapshot showed running/queued processes.
+    CheckOutcome outcome;
   };
 
   /// Shared registration body; `detector` may be null (detector-less add).
@@ -443,16 +474,20 @@ class CheckerPool {
                      MonitorOptions options);
   void worker_loop();
   void ensure_workers_locked();
-  /// Run one check; `rule_now` is the rule-clock timestamp shared by the
-  /// whole batch.  `occupied_out` reports whether the snapshot showed any
-  /// running or queued process (cadence controller input).
-  core::Detector::CheckStats run_check(Entry& entry, util::TimeNs rule_now,
-                                       bool* occupied_out);
-  /// Cadence controller: update the entry's EWMA/stretch from one check's
-  /// outcome.  mu_ held.
-  void update_cadence_locked(Entry& entry,
-                             const core::Detector::CheckStats& stats,
-                             bool occupied);
+  /// Run one full check; `rule_now` is the rule-clock timestamp shared by
+  /// the whole batch.  check_mu held.
+  CheckOutcome run_check(Entry& entry, util::TimeNs rule_now);
+  /// Whether a due check of `entry` is answered by the evidence gate: the
+  /// last full check left it quiet and its state version has not moved
+  /// since.  mu_ held.
+  bool gate_holds_locked(const Entry& entry) const;
+  /// Fold one check's outcome into the entry: the gate state and the
+  /// cadence controller's EWMA/stretch.  mu_ held.
+  void retire_check_locked(Entry& entry, const CheckOutcome& outcome);
+  /// Retire a batch slot's check and re-push its heap item while the entry
+  /// is still scheduled under the slot's generation; drops the slot's busy
+  /// pin (remove() may free the entry right after).  mu_ held.
+  void finish_slot_locked(const BatchSlot& slot);
   /// Next deadline after a check scheduled at `due` finished at `finished`,
   /// coalescing missed slots.  mu_ held.
   util::TimeNs next_due_locked(const Entry& entry, util::TimeNs due,
@@ -479,9 +514,9 @@ class CheckerPool {
   bool validate_cycle(const core::DeadlockCycle& cycle);
 
   bool recovery_enabled() const { return recovery_.policy != nullptr; }
-  /// Pin `id`'s entry (remove() waits on the busy count) for an actuation;
-  /// nullptr when the monitor already unregistered.  Callers must
-  /// unpin_entry() the result.
+  /// Pin `id`'s entry (remove() waits on the busy count) for an actuation,
+  /// and clear its gate state; nullptr when the monitor already
+  /// unregistered.  Callers must unpin_entry() the result.
   Entry* pin_entry(MonitorId id);
   void unpin_entry(Entry* entry);
   /// Drain the monitor's segment and re-baseline its detector from the same

@@ -5,7 +5,8 @@
 // spec (name + timer thresholds + cadence), an interned symbol table, an
 // atomic capture of the event segment recorded since the last checking
 // point together with the scheduling state it ends in, a live snapshot, a
-// loss count, and — when recovery is attached — three actuation hooks.
+// loss count, a state version, and — when recovery is attached — three
+// actuation hooks.
 // That surface used to be HoareMonitor's concrete API, which tied every
 // ingestion path to the native monitor implementation.  EventSink extracts it as an abstract
 // interface so external instrumentation (the LD_PRELOAD interposition
@@ -36,11 +37,23 @@
 //   * Episode tickets: entry_queue / cond_queues / holders / running_ticket
 //     entries carry per-monitor monotonic tickets, bumped once per blocking
 //     episode / ownership / hold — clock-independent episode identity.
+//   * state_version() moves whenever an event is recorded or the state
+//     capture() returns changes: every primitive, and every mutator that
+//     changes the state without recording an event (hold registry, R#,
+//     poison, evictions, owner hand-offs seen without an event).  It never
+//     moves back, and capture() itself does not move it.  The pool reads it
+//     before a check's capture and again when the monitor next comes due;
+//     an unmoved version over a monitor the last check left quiet (see
+//     CheckerPool) answers the due check without capturing.  A version
+//     that moves when nothing changed only costs a full check; one that
+//     stays put across a change would hide that change from every
+//     analysis, so when in doubt, move it.
 //   * The recovery hooks default to no-ops (recovery actions on sinks that
 //     cannot evict waiters degrade to reports; see docs/interposition.md).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/monitor_spec.hpp"
@@ -73,6 +86,13 @@ class EventSink {
   /// Events dropped by the ingestion path's overflow contract — exact
   /// accounting, never a silent gap (EventLog::events_lost()).
   virtual std::uint64_t events_lost() const = 0;
+
+  /// Monotonic state version (see the contract above); relaxed, callable
+  /// from any thread.  nullopt (the default) means the source keeps none,
+  /// and every due check then runs in full.
+  virtual std::optional<std::uint64_t> state_version() const {
+    return std::nullopt;
+  }
 
   /// Current scheduling state, read live (the wait-for passes' episode
   /// validation).  Incorporates every operation of a completed capture().

@@ -57,6 +57,7 @@ void HoareMonitor::record(const trace::EventRecord& event) {
 
 void HoareMonitor::set_resource_gauge(std::function<std::int64_t()> gauge) {
   std::lock_guard<sync::SpinLock> lock(mu_);
+  touch();
   resource_gauge_ = std::move(gauge);
 }
 
@@ -98,6 +99,7 @@ void HoareMonitor::exit(trace::Pid pid) {
 
 void HoareMonitor::track_resources(std::int64_t initial) {
   std::lock_guard<sync::SpinLock> lock(mu_);
+  touch();
   track_resources_ = true;
   resources_ = initial;
 }
@@ -109,6 +111,7 @@ std::int64_t HoareMonitor::resources() const {
 
 void HoareMonitor::note_hold(trace::Pid pid) {
   std::lock_guard<sync::SpinLock> lock(mu_);
+  touch();
   auto [it, inserted] = holds_.try_emplace(pid);
   if (inserted) {
     it->second.since = now();
@@ -119,6 +122,7 @@ void HoareMonitor::note_hold(trace::Pid pid) {
 
 void HoareMonitor::note_release(trace::Pid pid) {
   std::lock_guard<sync::SpinLock> lock(mu_);
+  touch();
   auto it = holds_.find(pid);
   if (it == holds_.end()) return;  // release-before-acquire client bug
   if (--it->second.units <= 0) holds_.erase(it);
@@ -129,6 +133,7 @@ Status HoareMonitor::enter(trace::Pid pid, trace::SymbolId proc_id) {
   bool must_park = false;
   {
     std::lock_guard<sync::SpinLock> lock(mu_);
+    touch();
     StateTraceScope trace_scope(*this);
     if (poisoned_) return Status::kPoisoned;
 
@@ -200,6 +205,7 @@ Status HoareMonitor::wait(trace::Pid pid, trace::SymbolId cond) {
   bool must_park = false;
   {
     std::lock_guard<sync::SpinLock> lock(mu_);
+    touch();
     StateTraceScope trace_scope(*this);
     if (poisoned_) return Status::kPoisoned;
     if (recovery_poisoned_locked()) {
@@ -314,6 +320,7 @@ void HoareMonitor::signal_exit_impl(trace::Pid pid, trace::SymbolId cond,
   Waiter* wake_second = nullptr;
   {
     std::lock_guard<sync::SpinLock> lock(mu_);
+    touch();
     StateTraceScope trace_scope(*this);
     if (poisoned_) return;
 
@@ -449,6 +456,7 @@ void HoareMonitor::poison() {
   std::vector<Waiter*> parked;
   {
     std::lock_guard<sync::SpinLock> lock(mu_);
+    touch();
     poisoned_ = true;
     for (EqEntry& entry : entry_queue_) {
       if (entry.waiter != nullptr) parked.push_back(entry.waiter);
@@ -473,6 +481,7 @@ void HoareMonitor::recovery_poison(std::uint64_t hold_ticket) {
   std::vector<Waiter*> parked;
   {
     std::lock_guard<sync::SpinLock> lock(mu_);
+    touch();
     poison_ticket_ = hold_ticket;
     for (EqEntry& entry : entry_queue_) {
       if (entry.waiter != nullptr) parked.push_back(entry.waiter);
@@ -493,6 +502,7 @@ void HoareMonitor::recovery_poison(std::uint64_t hold_ticket) {
 
 void HoareMonitor::unpoison() {
   std::lock_guard<sync::SpinLock> lock(mu_);
+  touch();
   poison_ticket_ = 0;
 }
 
@@ -516,6 +526,7 @@ bool HoareMonitor::deliver_recovery_fault(trace::Pid pid) {
   Waiter* victim = nullptr;
   {
     std::lock_guard<sync::SpinLock> lock(mu_);
+    touch();
     for (auto it = entry_queue_.begin(); it != entry_queue_.end(); ++it) {
       if (it->pid == pid && it->waiter != nullptr) {
         victim = it->waiter;

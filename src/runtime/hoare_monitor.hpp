@@ -14,6 +14,7 @@
 // unwind cleanly.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -130,6 +131,12 @@ class HoareMonitor : public EventSink {
   /// operation falls between the segment and the state.
   trace::SchedulingState capture(std::vector<trace::EventRecord>& out) override;
   std::uint64_t events_lost() const override { return log_.events_lost(); }
+  /// Moved by every primitive and by every mutator below that changes the
+  /// state without recording an event (the hold registry, R#, the gauge,
+  /// poison and eviction); kOff moves it too, though it records nothing.
+  std::optional<std::uint64_t> state_version() const override {
+    return version_.load(std::memory_order_relaxed);
+  }
   Instrumentation instrumentation() const { return instrumentation_; }
   Semantics semantics() const { return semantics_; }
 
@@ -221,6 +228,11 @@ class HoareMonitor : public EventSink {
   /// Whether the recovery poison still holds (see poison_ticket_).  mu_ held.
   bool recovery_poisoned_locked() const;
   void record(const trace::EventRecord& event);
+  /// Move state_version().  mu_ held, so a relaxed load + store suffices.
+  void touch() {
+    version_.store(version_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+  }
   /// Pop the first admittable entry waiter; nullptr when none.  mu_ held.
   Waiter* pop_admittable();
   /// Injected notify-too-many: resume the first admittable entry waiter
@@ -244,6 +256,8 @@ class HoareMonitor : public EventSink {
   trace::EventLog log_;
 
   mutable sync::SpinLock mu_;
+  /// state_version(): written under mu_, read relaxed from any thread.
+  std::atomic<std::uint64_t> version_{0};
   std::optional<trace::Pid> owner_;
   trace::SymbolId owner_proc_ = trace::kNoSymbol;
   util::TimeNs owner_since_ = 0;

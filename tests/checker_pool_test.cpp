@@ -1,8 +1,8 @@
 // CheckerPool engine tests: synchronous checks without workers, deadline
 // ordering across monitors with different cadences, concurrent
 // register/unregister while traffic flows, clean checks captured under
-// live traffic, and regression parity between a monitor's private
-// one-thread pool and a shared pool on injected faults.
+// live traffic, regression parity between a monitor's private one-thread
+// pool and a shared pool on injected faults, and the evidence gate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -93,6 +93,12 @@ TEST(CheckerPoolTest, DeadlineOrderingFollowsPerMonitorPeriods) {
       relaxed_timers(MonitorSpec::manager("slow"), 25 * kMillisecond),
       slow_sink, options);
   EXPECT_EQ(pool.monitor_count(), 2u);
+  // An outstanding hold keeps each monitor from being quiet, so every due
+  // check runs the detector and checks_run() counts the pool's service of
+  // each cadence (the evidence gate would answer a quiet monitor's checks
+  // without running it).
+  fast.note_hold(1);
+  slow.note_hold(1);
 
   fast.start_checking();
   slow.start_checking();
@@ -305,6 +311,9 @@ TEST(CheckerPoolTest, FrozenManualClockDoesNotStallPeriodicChecking) {
   RobustMonitor monitor(
       relaxed_timers(MonitorSpec::manager("frozen"), 5 * kMillisecond), sink,
       options);
+  // An outstanding hold keeps the monitor from being quiet, so every due
+  // check runs the detector (see DeadlineOrderingFollowsPerMonitorPeriods).
+  monitor.note_hold(1);
   monitor.start_checking();
   for (int spin = 0; spin < 400; ++spin) {
     if (monitor.detector().checks_run() >= 2) break;
@@ -313,6 +322,124 @@ TEST(CheckerPoolTest, FrozenManualClockDoesNotStallPeriodicChecking) {
   monitor.stop_checking();
   EXPECT_GE(monitor.detector().checks_run(), 2u);
   EXPECT_EQ(sink.count(), 0u);
+}
+
+// --- Evidence gate. ----------------------------------------------------------
+
+/// Poll `done` every millisecond for up to ~4 s; returns its last value.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  for (int spin = 0; spin < 4000; ++spin) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+/// Due checks the evidence gate answered for the pool's only monitor.
+std::uint64_t gated_checks(const CheckerPool& pool, RobustMonitor& monitor) {
+  return pool.checks_executed() - monitor.detector().checks_run();
+}
+
+TEST(CheckerPoolTest, QuietMonitorIsAnsweredWithoutRunningTheDetector) {
+  CheckerPool::Options pool_options;
+  pool_options.threads = 1;
+  CheckerPool pool(pool_options);
+  CollectingSink sink;
+  RobustMonitor::Options options;
+  options.checker_pool = &pool;
+  RobustMonitor monitor(
+      relaxed_timers(MonitorSpec::manager("quiet"), 2 * kMillisecond), sink,
+      options);
+  monitor.start_checking();
+  ASSERT_TRUE(eventually([&] { return monitor.detector().checks_run() >= 1; }));
+  // Nothing changes: every later due check is answered by the gate, so
+  // checks_executed() advances while the detector stays flat.
+  ASSERT_TRUE(eventually([&] { return gated_checks(pool, monitor) >= 10; }));
+  monitor.stop_checking();
+  const std::uint64_t runs = monitor.detector().checks_run();
+  EXPECT_EQ(runs, 1u);  // only the first check of the episode ran
+  EXPECT_GE(pool.checks_executed(), runs + 10);
+
+  // One primitive moves the state version: the next due check runs in full
+  // and drains the two events.
+  monitor.start_checking();
+  ASSERT_EQ(monitor.enter(1, "Op"), Status::kOk);
+  monitor.exit(1);
+  ASSERT_TRUE(eventually(
+      [&] { return monitor.detector().events_processed() >= 2; }));
+  monitor.stop_checking();
+  EXPECT_GT(monitor.detector().checks_run(), runs);
+  EXPECT_EQ(sink.count(), 0u);
+}
+
+TEST(CheckerPoolTest, FabricatedReceiveOnQuietCoordinatorIsReported) {
+  CheckerPool::Options pool_options;
+  pool_options.threads = 1;
+  CheckerPool pool(pool_options);
+  CollectingSink sink;
+  inject::ScriptedInjection injection(
+      {FaultKind::kReceiveExceedsSend, trace::kNoPid, 1, false});
+  RobustMonitor::Options options;
+  options.injection = &injection;
+  options.checker_pool = &pool;
+  RobustMonitor monitor(
+      relaxed_timers(MonitorSpec::coordinator("quiet-buf", 2),
+                     2 * kMillisecond),
+      sink, options);
+  wl::BoundedBuffer buffer(monitor, 2, injection);
+  monitor.start_checking();
+  // The empty coordinator goes quiet: the gate answers its due checks.
+  ASSERT_TRUE(eventually([&] { return gated_checks(pool, monitor) >= 3; }));
+  std::int64_t item = 0;
+  ASSERT_EQ(buffer.receive(1, &item), Status::kOk);  // II.c: fabricated
+  EXPECT_TRUE(injection.fired());
+  EXPECT_EQ(item, -1);
+  EXPECT_TRUE(eventually(
+      [&] { return sink.any_with_rule(RuleId::kSt7aReceiveExceedsSend); }));
+  monitor.stop_checking();
+}
+
+TEST(CheckerPoolTest, StandingViolationIsReReportedAtEveryScheduledCheck) {
+  CheckerPool::Options pool_options;
+  pool_options.threads = 1;
+  CheckerPool pool(pool_options);
+  CollectingSink sink;
+  inject::ScriptedInjection injection(
+      {FaultKind::kReceiveExceedsSend, trace::kNoPid, 1, false});
+  RobustMonitor::Options options;
+  options.injection = &injection;
+  options.checker_pool = &pool;
+  RobustMonitor monitor(
+      relaxed_timers(MonitorSpec::coordinator("standing", 2),
+                     2 * kMillisecond),
+      sink, options);
+  wl::BoundedBuffer buffer(monitor, 2, injection);
+  std::int64_t item = 0;
+  ASSERT_EQ(buffer.receive(1, &item), Status::kOk);  // r > s from now on
+  const auto reports = [&] {
+    std::uint64_t n = 0;
+    for (const auto& report : sink.reports()) {
+      if (report.rule == RuleId::kSt7aReceiveExceedsSend) ++n;
+    }
+    return n;
+  };
+  monitor.start_checking();
+  ASSERT_TRUE(eventually([&] { return reports() >= 1; }));
+  monitor.stop_checking();
+  const std::uint64_t reports_before = reports();
+  const std::uint64_t runs_before = monitor.detector().checks_run();
+  const std::uint64_t gated_before = gated_checks(pool, monitor);
+
+  // The monitor's state never changes again, but a check that reported a
+  // violation never leaves it quiet: every due check runs the detector and
+  // re-reports the cumulative r > s.
+  monitor.start_checking();
+  ASSERT_TRUE(eventually([&] { return reports() >= reports_before + 5; }));
+  monitor.stop_checking();
+  EXPECT_EQ(gated_checks(pool, monitor), gated_before);
+  EXPECT_EQ(reports() - reports_before,
+            monitor.detector().checks_run() - runs_before);
 }
 
 TEST(MultiLoadTest, SharedPoolMissesNothing) {

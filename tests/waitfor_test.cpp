@@ -2,7 +2,8 @@
 // WF-Rule validator, and the CheckerPool checkpoint end-to-end — cycles
 // across 2 and 5 monitors, a cycle that resolves before the checkpoint (the
 // stale-contribution shape must produce zero faults), register/unregister
-// churn while checkpoints run, and detection under a frozen ManualClock.
+// churn while checkpoints run, detection under a frozen ManualClock, and
+// cycles that form silently on monitors the evidence gate found quiet.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,9 @@
 
 #include "core/fd_rules.hpp"
 #include "core/waitfor.hpp"
+#include "interpose/synthetic_monitor.hpp"
 #include "runtime/checker_pool.hpp"
+#include "runtime/hoare_monitor.hpp"
 #include "runtime/robust_monitor.hpp"
 #include "workloads/allocator.hpp"
 #include "workloads/dining.hpp"
@@ -486,6 +489,115 @@ TEST(PoolWaitForTest, FrozenManualClockStillDetectsDeadlock) {
   t2.join();
   m0.stop_checking();
   m1.stop_checking();
+}
+
+// --- Evidence gate: silent state changes on quiet monitors. ------------------
+//
+// The pool answers a due check of a quiet monitor (nobody running, queued or
+// holding) by reading its state version.  These cycles form after one quiet
+// check of every participant, through operations that record no event, so a
+// probe counting events would leave every monitor gated on its empty
+// contribution and the cycle unreported.
+
+/// A one-worker pool whose 1 ms wait-for checkpoint reports to `sink`.
+CheckerPool::Options gate_pool_options(core::CollectingSink& sink) {
+  CheckerPool::Options options;
+  options.threads = 1;
+  options.waitfor_checkpoint_period = 1 * kMillisecond;
+  options.waitfor_sink = &sink;
+  return options;
+}
+
+/// Wait until the worker has answered a few more due checks.
+void let_pool_check(const CheckerPool& pool) {
+  const std::uint64_t checked = pool.checks_executed();
+  for (int spin = 0; spin < 4000 && pool.checks_executed() < checked + 4;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+bool cycle_reported(const core::CollectingSink& sink) {
+  for (int spin = 0; spin < 4000; ++spin) {
+    if (sink.any_with_rule(RuleId::kWfCycleDetected)) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return sink.any_with_rule(RuleId::kWfCycleDetected);
+}
+
+TEST(PoolWaitForTest, SilentHoldsOnQuietAllocatorsAreContributed) {
+  // Instrumentation::kOff records no event at all, so note_hold, enter and
+  // wait all change the state silently; registered detector-less, since the
+  // per-monitor rules need the events.
+  core::CollectingSink sink;
+  CheckerPool pool(gate_pool_options(sink));
+  const util::Clock& clock = util::SteadyClock::instance();
+  rt::HoareMonitor f0(fork_spec("f0"), clock, inject::NullInjection::instance(),
+                      rt::Instrumentation::kOff);
+  rt::HoareMonitor f1(fork_spec("f1"), clock, inject::NullInjection::instance(),
+                      rt::Instrumentation::kOff);
+  const CheckerPool::MonitorId id0 = pool.add(f0);
+  const CheckerPool::MonitorId id1 = pool.add(f1);
+  pool.schedule(id0);
+  pool.schedule(id1);
+  pool.check_now(id0);  // one quiet check each
+  pool.check_now(id1);
+  let_pool_check(pool);
+
+  f0.note_hold(1);  // p1 holds f0, p2 holds f1: no event either way
+  f1.note_hold(2);
+  const auto block = [](rt::HoareMonitor& fork, trace::Pid pid) {
+    if (fork.enter(pid, "Acquire") == rt::Status::kOk) {
+      (void)fork.wait(pid, "available");
+    }
+  };
+  std::thread t1([&] { block(f1, 1); });  // p1 waits on f1
+  std::thread t2([&] { block(f0, 2); });  // p2 waits on f0
+  EXPECT_TRUE(cycle_reported(sink));
+  std::string message;
+  for (const auto& report : sink.reports()) {
+    if (report.rule == RuleId::kWfCycleDetected) message = report.message;
+  }
+  EXPECT_NE(message.find("p1 waits on f1[available] held by p2"),
+            std::string::npos)
+      << message;
+
+  f0.poison();
+  f1.poison();
+  t1.join();
+  t2.join();
+  pool.remove(id0);
+  pool.remove(id1);
+}
+
+TEST(PoolWaitForTest, RecordingOffSyntheticMutexCycleIsContributed) {
+  // The shim's default: no event is recorded, and an uncontended
+  // lock_acquired publishes the owner through the seqlock alone.
+  core::CollectingSink sink;
+  CheckerPool pool(gate_pool_options(sink));
+  const util::Clock& clock = util::SteadyClock::instance();
+  using interpose::SyntheticMonitor;
+  SyntheticMonitor::Config config;
+  config.check_period = 2 * kMillisecond;
+  SyntheticMonitor a("mutex-a", SyntheticMonitor::Kind::kMutex, clock, config);
+  SyntheticMonitor b("mutex-b", SyntheticMonitor::Kind::kMutex, clock, config);
+  const CheckerPool::MonitorId ida = pool.add(a);
+  const CheckerPool::MonitorId idb = pool.add(b);
+  pool.schedule(ida);
+  pool.schedule(idb);
+  pool.check_now(ida);  // one quiet check each
+  pool.check_now(idb);
+  let_pool_check(pool);
+  EXPECT_EQ(a.log().total_appended(), 0u);
+
+  a.lock_acquired(1);  // fast paths: owner seqlock only
+  b.lock_acquired(2);
+  a.lock_blocked(2);
+  b.lock_blocked(1);
+  EXPECT_TRUE(cycle_reported(sink));
+  EXPECT_EQ(a.log().total_appended() + b.log().total_appended(), 0u);
+  pool.remove(ida);
+  pool.remove(idb);
 }
 
 // --- Episode tickets (clock-independent episode identity). -------------------
