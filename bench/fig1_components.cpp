@@ -115,6 +115,8 @@ std::vector<trace::EventRecord> make_segment(std::size_t pairs,
   return events;
 }
 
+// The uncontended replay: one process entering and leaving, nobody ever
+// blocked, so every event takes Algorithm 1's uncontended step.
 void BM_Algorithm1(benchmark::State& state) {
   core::MonitorSpec spec = core::MonitorSpec::manager("a1");
   spec.t_max = spec.t_io = 3600 * util::kSecond;
@@ -124,14 +126,53 @@ void BM_Algorithm1(benchmark::State& state) {
   const auto events =
       make_segment(static_cast<std::size_t>(state.range(0)) / 2, op);
   const trace::SchedulingState empty;
+  core::CheckingLists lists;
   for (auto _ : state) {
     const auto ctx = core::CheckContext::make(spec, symbols, 1000, sink);
     benchmark::DoNotOptimize(
-        core::run_algorithm1(ctx, empty, empty, events));
+        core::run_algorithm1(ctx, empty, empty, events, lists));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Algorithm1)->Arg(64)->Arg(1024)->Arg(8192);
+
+// The contended replay: every event takes the general step.  Each 5-event
+// round is an entry-queue hand-off (p2 queues on EQ, p1's Wait admits it)
+// followed by a condition hand-off (p2's Signal-Exit(1) resumes p1), and
+// ends with the monitor vacant.  p3 stays parked on CQ[park] throughout,
+// so somebody is always recorded as blocked and every event pays the ST-4
+// scan.  The segment is clean.
+void BM_Algorithm1_Contended(benchmark::State& state) {
+  core::MonitorSpec spec = core::MonitorSpec::manager("a1c");
+  spec.t_max = spec.t_io = 3600 * util::kSecond;
+  trace::SymbolTable symbols;
+  const trace::SymbolId op = symbols.intern("Op");
+  const trace::SymbolId cond = symbols.intern("cond");
+  const trace::SymbolId park = symbols.intern("park");
+  DiscardSink sink;
+  std::vector<trace::EventRecord> events;
+  util::TimeNs t = 0;
+  for (std::int64_t i = 0; i < state.range(0) / 5; ++i) {
+    events.push_back(trace::EventRecord::enter(1, op, true, ++t));
+    events.push_back(trace::EventRecord::enter(2, op, false, ++t));
+    events.push_back(trace::EventRecord::wait(1, op, cond, ++t));
+    events.push_back(trace::EventRecord::signal_exit(2, op, cond, true, ++t));
+    events.push_back(trace::EventRecord::signal_exit(
+        1, op, trace::kNoSymbol, false, ++t));
+  }
+  trace::SchedulingState parked;
+  parked.cond_queues.push_back({cond, {}});
+  parked.cond_queues.push_back({park, {{3, op, 0, 1}}});
+  core::CheckingLists lists;
+  for (auto _ : state) {
+    const auto ctx = core::CheckContext::make(spec, symbols, 1000, sink);
+    benchmark::DoNotOptimize(
+        core::run_algorithm1(ctx, parked, parked, events, lists));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_Algorithm1_Contended)->Arg(64)->Arg(1024)->Arg(8192);
 
 void BM_Algorithm2(benchmark::State& state) {
   core::MonitorSpec spec = core::MonitorSpec::coordinator("a2", 8);
@@ -179,8 +220,10 @@ void BM_Algorithm3(benchmark::State& state) {
     events.push_back(trace::EventRecord::signal_exit(
         1, release, trace::kNoSymbol, false, ++t));
   }
+  // Kept across iterations, as the Detector keeps it across checks; each
+  // segment releases what it acquires, so every iteration starts empty.
+  core::RequestList requests;
   for (auto _ : state) {
-    core::RequestList requests;
     const auto ctx = core::CheckContext::make(spec, symbols, 1000, sink);
     benchmark::DoNotOptimize(core::run_algorithm3(ctx, events, requests));
   }

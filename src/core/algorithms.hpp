@@ -11,12 +11,12 @@
 //
 // All three take the state s_p recorded at the previous checking time, the
 // state s_t at the current checking time and the event segment L generated
-// in between; violations are delivered to the ReportSink.  Algorithms 2 and
-// 3 additionally thread persistent state (cumulative send/receive counters,
-// the Request-List) owned by the Detector.
+// in between; violations are delivered to the ReportSink.  Each also takes
+// state owned by the Detector: Algorithm 1 the checking lists it resets
+// from s_p (kept for their capacity), Algorithms 2 and 3 the persistent
+// rule state (cumulative send/receive counters, the Request-List).
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "core/checking_lists.hpp"
@@ -48,11 +48,14 @@ struct CheckContext {
                            ReportSink& sink);
 };
 
-/// Algorithm-1.  Returns the number of violations reported.
+/// Algorithm-1.  Resets `lists` from `prev` and replays `events` over it;
+/// the caller keeps `lists` across checks so their storage is reused.
+/// Returns the number of violations reported.
 std::size_t run_algorithm1(const CheckContext& ctx,
                            const trace::SchedulingState& prev,
                            const trace::SchedulingState& current,
-                           const std::vector<trace::EventRecord>& events);
+                           const std::vector<trace::EventRecord>& events,
+                           CheckingLists& lists);
 
 /// Cumulative successful-call counters (r and s of ST-Rule 7), persistent
 /// across checking points.
@@ -71,7 +74,7 @@ std::size_t run_algorithm2(const CheckContext& ctx,
 /// Request-List: outstanding acquisitions, persistent across checking
 /// points ("initialized once to empty", Section 3.3.1).
 struct RequestList {
-  std::deque<ListEntry> entries;
+  std::vector<ListEntry> entries;
 
   bool contains(trace::Pid pid) const;
   /// Remove first occurrence; returns whether one was removed.

@@ -81,7 +81,7 @@ Detector::CheckStats Detector::check(
   CheckStats stats;
   stats.events = segment.size();
 
-  stats.violations += run_algorithm1(ctx, prev_, current, segment);
+  stats.violations += run_algorithm1(ctx, prev_, current, segment, lists_);
   if (spec_.type == MonitorType::kCommunicationCoordinator) {
     stats.violations += run_algorithm2(ctx, prev_, current, segment, counters_);
   }

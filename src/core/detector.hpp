@@ -98,6 +98,8 @@ class Detector {
   /// it and sets `now`.
   CheckContext context_;
   trace::SchedulingState prev_;
+  /// Algorithm 1's checking lists, reset (not rebuilt) at every check.
+  CheckingLists lists_;
   bool initialized_ = false;
   ResourceCounters counters_;
   RequestList requests_;

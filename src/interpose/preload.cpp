@@ -17,12 +17,16 @@
 // Lock fast path: a successful real trylock means no blocking was ever
 // observable, so only an acquire is recorded.  "Successful" includes
 // EOWNERDEAD: a robust mutex's dead owner hands it to the caller, locked
-// (see acquired() below).  A failed trylock records
-// the entry-queue wait BEFORE the real (blocking) lock — the wait-for
-// graph must see the thread parked while it actually is — and the
-// acquire (or a cancellation, e.g. EDEADLK) after it returns.  Unlock is
-// recorded BEFORE the real unlock so no snapshot can observe the next
-// owner while the old one still appears inside.
+// (see acquired() below).  Only EBUSY leads on to the blocking lock; any
+// other trylock failure (ENOTRECOVERABLE, EAGAIN, EINVAL) is what the lock
+// would return too, so it is returned as is, and nothing is recorded (see
+// SyntheticMonitor::mark_probe_not_recoverable for what a not-recoverable
+// probe leaves behind).  A busy trylock records the entry-queue wait
+// BEFORE the real (blocking) lock — the wait-for graph must see the thread
+// parked while it actually is — and the acquire (or a cancellation, e.g.
+// EDEADLK) after it returns.  Unlock is recorded BEFORE the real unlock so
+// no snapshot can observe the next owner while the old one still appears
+// inside.
 //
 // pthread_create is interposed for one reason only: a thread created
 // while the creator is inside the shim (depth > 0) or is itself internal
@@ -98,10 +102,17 @@ int pthread_mutex_lock(pthread_mutex_t* mutex) {
   if (monitor == nullptr) return real(mutex);
   const robmon::Tid tid = self_tid();
   // An EOWNERDEAD from the trylock has already acquired the mutex: the
-  // blocking lock below would wait on the caller itself.
+  // blocking lock below would wait on the caller itself.  A code other
+  // than EBUSY is final: after a trylock's ENOTRECOVERABLE, glibc's
+  // blocking lock on the same mutex never returns.
+  if (monitor->probe_not_recoverable()) return ENOTRECOVERABLE;
   const int tried = real_try(mutex);
   if (acquired(tried)) {
     monitor->lock_acquired(tid);
+    return tried;
+  }
+  if (tried != EBUSY) {
+    if (tried == ENOTRECOVERABLE) monitor->mark_probe_not_recoverable();
     return tried;
   }
   monitor->lock_blocked(tid);
@@ -120,6 +131,11 @@ int pthread_mutex_trylock(pthread_mutex_t* mutex) {
   ReentryGuard guard;
   SyntheticMonitor* monitor =
       Runtime::instance().monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
+  // After the lock wrapper's probe found the mutex not recoverable, the
+  // real trylock would read the lock word that probe left held as EBUSY.
+  if (monitor != nullptr && monitor->end_probe_not_recoverable()) {
+    return ENOTRECOVERABLE;
+  }
   const int rc = real(mutex);
   if (acquired(rc) && monitor != nullptr) monitor->lock_acquired(self_tid());
   return rc;

@@ -192,6 +192,7 @@ void SyntheticMonitor::reset() {
   entry_queue_.clear();
   cond_queue_.clear();
   entry_waiters_.store(0, std::memory_order_relaxed);
+  probe_not_recoverable_.store(false, std::memory_order_relaxed);
   write_owner({});
 }
 

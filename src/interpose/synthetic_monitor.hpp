@@ -118,6 +118,26 @@ class SyntheticMonitor final : public rt::EventSink {
   /// a fresh object does not inherit a stale owner or queue.
   void reset();
 
+  /// The lock wrapper's trylock probe returned ENOTRECOVERABLE.  glibc's
+  /// trylock leaves a not-recoverable robust mutex's lock word held by the
+  /// caller (its blocking lock does not), so from then on every real lock
+  /// of it blocks forever.  The wrappers answer ENOTRECOVERABLE for it
+  /// themselves, as libc would have without the probe: every lock, and the
+  /// next trylock, which leaves the mutex in the state libc's own trylock
+  /// leaves and so ends the mark.  reset() ends it too.
+  void mark_probe_not_recoverable() {
+    probe_not_recoverable_.store(true, std::memory_order_relaxed);
+  }
+  bool probe_not_recoverable() const {
+    return probe_not_recoverable_.load(std::memory_order_relaxed);
+  }
+  /// Ends the mark; returns whether it was set.  Reads before it writes,
+  /// so a trylock of a healthy mutex stores nothing.
+  bool end_probe_not_recoverable() {
+    return probe_not_recoverable() &&
+           probe_not_recoverable_.exchange(false, std::memory_order_relaxed);
+  }
+
   // --- rt::EventSink (checker side). ----------------------------------------
 
   const core::MonitorSpec& spec() const override { return spec_; }
@@ -211,6 +231,8 @@ class SyntheticMonitor final : public rt::EventSink {
   /// Moved by every producer section under queue_mu_ (a queue change or a
   /// recorded event); half of state_version().
   std::atomic<std::uint64_t> queue_version_{0};
+  /// See mark_probe_not_recoverable().
+  std::atomic<bool> probe_not_recoverable_{false};
   /// Owner-serialized by queue_mu_ (see EventLog's contract).
   trace::EventLog log_;
 };

@@ -6,8 +6,9 @@
 # Runs the host without and with LD_PRELOAD of the shim.  Both runs must
 # exit 0 within the timeout and print the same return codes, and the shim's
 # stderr summary must report faults=0.  A shim that blocks where libc
-# returns (EOWNERDEAD from a robust mutex whose owner died) shows up as a
-# timeout here instead of a hung test run.
+# returns (EOWNERDEAD from a robust mutex whose owner died,
+# ENOTRECOVERABLE from one never made consistent) shows up as a timeout
+# here instead of a hung test run.
 foreach(var HOST SHIM)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "pthread_corners.cmake: -D${var}=... is required")
