@@ -4,8 +4,14 @@
 //
 //   pthread_baseline   an uncontended pthread_mutex lock/unlock pair with
 //                      no adaptation — what the host paid before the shim
-//   adapter_pair       the lock_acquired + unlocked pair alone (the pure
-//                      per-operation adapter cost of an uncontended lock)
+//   adapter_pair       the lock_acquired + unlocked pair of a thread's
+//                      outermost hold, with the stamp check the wrappers
+//                      make before each lock (the pure per-operation
+//                      adapter cost of an uncontended lock: no clock read,
+//                      no atomic read-modify-write)
+//   adapter_nested     an outer and an inner pair, nested: the inner
+//                      acquisition stamps the outer hold and reads the
+//                      clock for its own start (four operations)
 //   adapter_mt(T)      T threads each recording a blocked-then-cancelled
 //                      episode on one monitor concurrently (contention on
 //                      the monitor's queue lock)
@@ -28,6 +34,7 @@
 namespace {
 
 using robmon::interpose::SyntheticMonitor;
+using robmon::interpose::ThreadHolds;
 
 double ns_per_op(std::chrono::steady_clock::time_point start,
                  std::chrono::steady_clock::time_point stop,
@@ -54,13 +61,36 @@ double bench_adapter_pair(std::int64_t iters) {
   SyntheticMonitor monitor("bench", SyntheticMonitor::Kind::kMutex,
                            robmon::util::SteadyClock::instance(),
                            SyntheticMonitor::Config{});
+  ThreadHolds holds;
   const auto start = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < iters; ++i) {
-    monitor.lock_acquired(1);
-    monitor.unlocked(1);
+    SyntheticMonitor::stamp_outer(1, holds);
+    monitor.lock_acquired(1, holds);
+    monitor.unlocked(1, holds);
   }
   const auto stop = std::chrono::steady_clock::now();
   return ns_per_op(start, stop, 2 * iters);
+}
+
+double bench_adapter_nested(std::int64_t iters) {
+  SyntheticMonitor outer("outer", SyntheticMonitor::Kind::kMutex,
+                         robmon::util::SteadyClock::instance(),
+                         SyntheticMonitor::Config{});
+  SyntheticMonitor inner("inner", SyntheticMonitor::Kind::kMutex,
+                         robmon::util::SteadyClock::instance(),
+                         SyntheticMonitor::Config{});
+  ThreadHolds holds;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::int64_t i = 0; i < iters; ++i) {
+    SyntheticMonitor::stamp_outer(1, holds);
+    outer.lock_acquired(1, holds);
+    SyntheticMonitor::stamp_outer(1, holds);
+    inner.lock_acquired(1, holds);
+    inner.unlocked(1, holds);
+    outer.unlocked(1, holds);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  return ns_per_op(start, stop, 4 * iters);
 }
 
 double bench_adapter_mt(std::int64_t iters, int threads) {
@@ -96,12 +126,15 @@ int main(int argc, char** argv) {
 
   const double baseline = bench_pthread_baseline(iters);
   const double pair = bench_adapter_pair(iters);
+  const double nested = bench_adapter_nested(iters);
   const double contended = bench_adapter_mt(iters, threads);
 
   std::printf("%-24s %10s %12s\n", "row", "ns/op", "vs baseline");
   std::printf("%-24s %10.1f %12s\n", "pthread_baseline", baseline, "1.00x");
   std::printf("%-24s %10.1f %11.2fx\n", "adapter_pair", pair,
               pair / baseline);
+  std::printf("%-24s %10.1f %11.2fx\n", "adapter_nested", nested,
+              nested / baseline);
   std::printf("adapter_mt(%-2d)           %10.1f %11.2fx\n", threads,
               contended, contended / baseline);
   return 0;

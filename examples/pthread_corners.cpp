@@ -32,8 +32,20 @@
 //   recursive                  PTHREAD_MUTEX_RECURSIVE nesting: lock,
 //                              trylock, lock, then three unlocks return 0
 //                              and a fourth returns EPERM.
+//   cancel-cond-wait           a thread parked in pthread_cond_wait is
+//                              cancelled; its cleanup handler unlocks the
+//                              mutex the cancelled wait reacquired, so the
+//                              joiner sees PTHREAD_CANCELED and can lock
+//                              the mutex again (three rounds).
+//   fork-while-held            another thread holds a mutex, and the
+//                              forking thread holds one of its own; the
+//                              child unlocks its own, finds the other busy
+//                              (trylock EBUSY), locks and unlocks two fresh
+//                              mutexes nested, and exits.
 //
 #include <pthread.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -177,6 +189,115 @@ bool recursive() {
          destroyed == 0;
 }
 
+/// A condition waiter that only cancellation ends.
+struct CancelledWaiter {
+  pthread_mutex_t mutex = PTHREAD_MUTEX_INITIALIZER;
+  pthread_cond_t never = PTHREAD_COND_INITIALIZER;
+  pthread_cond_t parked_cv = PTHREAD_COND_INITIALIZER;
+  bool parked = false;
+};
+
+void unlock_cleanup(void* raw) {
+  pthread_mutex_unlock(static_cast<pthread_mutex_t*>(raw));
+}
+
+void* wait_until_cancelled(void* raw) {
+  auto* waiter = static_cast<CancelledWaiter*>(raw);
+  pthread_mutex_lock(&waiter->mutex);
+  waiter->parked = true;
+  pthread_cond_signal(&waiter->parked_cv);
+  pthread_cleanup_push(unlock_cleanup, &waiter->mutex);
+  for (;;) pthread_cond_wait(&waiter->never, &waiter->mutex);
+  pthread_cleanup_pop(0);
+  return nullptr;
+}
+
+bool cancel_cond_wait() {
+  CancelledWaiter waiter;
+  bool ok = true;
+  for (int round = 0; round < 3; ++round) {
+    waiter.parked = false;
+    pthread_t thread;
+    pthread_create(&thread, nullptr, wait_until_cancelled, &waiter);
+    // Once the waiter has announced itself and this thread holds the
+    // mutex again, the waiter's pthread_cond_wait has released it: the
+    // waiter is parked.
+    pthread_mutex_lock(&waiter.mutex);
+    while (!waiter.parked) pthread_cond_wait(&waiter.parked_cv, &waiter.mutex);
+    pthread_mutex_unlock(&waiter.mutex);
+    const int cancelled = pthread_cancel(thread);
+    void* result = nullptr;
+    const int joined = pthread_join(thread, &result);
+    const int locked = pthread_mutex_lock(&waiter.mutex);
+    const int unlocked = pthread_mutex_unlock(&waiter.mutex);
+    std::printf("cancel-cond-wait: cancel=%d join=%d canceled=%d lock=%d "
+                "unlock=%d\n",
+                cancelled, joined, result == PTHREAD_CANCELED ? 1 : 0, locked,
+                unlocked);
+    ok = ok && cancelled == 0 && joined == 0 && result == PTHREAD_CANCELED &&
+         locked == 0 && unlocked == 0;
+  }
+  const int destroyed = pthread_mutex_destroy(&waiter.mutex);
+  std::printf("cancel-cond-wait: destroy=%d\n", destroyed);
+  return ok && destroyed == 0;
+}
+
+/// A mutex another thread holds across the fork.
+struct HeldAcrossFork {
+  pthread_mutex_t mutex = PTHREAD_MUTEX_INITIALIZER;
+  pthread_barrier_t barrier;
+};
+
+void* hold_across_fork(void* raw) {
+  auto* held = static_cast<HeldAcrossFork*>(raw);
+  pthread_mutex_lock(&held->mutex);
+  pthread_barrier_wait(&held->barrier);  // holding
+  pthread_barrier_wait(&held->barrier);  // the fork is done
+  pthread_mutex_unlock(&held->mutex);
+  return nullptr;
+}
+
+bool fork_while_held() {
+  HeldAcrossFork held;
+  pthread_barrier_init(&held.barrier, nullptr, 2);
+  pthread_t holder;
+  pthread_create(&holder, nullptr, hold_across_fork, &held);
+  pthread_barrier_wait(&held.barrier);
+  pthread_mutex_t own = PTHREAD_MUTEX_INITIALIZER;
+  pthread_mutex_lock(&own);
+  std::fflush(stdout);
+  const pid_t child = fork();
+  if (child == 0) {
+    // The forking thread is the child's only thread: it still owns `own`,
+    // and `held` stays locked by a thread that does not exist here.
+    pthread_mutex_t outer = PTHREAD_MUTEX_INITIALIZER;
+    pthread_mutex_t inner = PTHREAD_MUTEX_INITIALIZER;
+    const int released = pthread_mutex_unlock(&own);
+    const int busy = pthread_mutex_trylock(&held.mutex);
+    const int locked = pthread_mutex_lock(&outer);
+    const int nested = pthread_mutex_lock(&inner);
+    const int unlocked_inner = pthread_mutex_unlock(&inner);
+    const int unlocked_outer = pthread_mutex_unlock(&outer);
+    std::printf("fork-while-held child: unlock-own=%d trylock-held=%d "
+                "lock=%d lock=%d unlock=%d unlock=%d\n",
+                released, busy, locked, nested, unlocked_inner, unlocked_outer);
+    std::fflush(stdout);
+    const bool ok = released == 0 && busy == EBUSY && locked == 0 &&
+                    nested == 0 && unlocked_inner == 0 && unlocked_outer == 0;
+    _exit(ok ? 0 : 1);
+  }
+  const int unlocked = pthread_mutex_unlock(&own);
+  pthread_barrier_wait(&held.barrier);
+  pthread_join(holder, nullptr);
+  int status = -1;
+  const bool reaped = child > 0 && waitpid(child, &status, 0) == child;
+  const int child_exit = reaped && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  pthread_barrier_destroy(&held.barrier);
+  std::printf("fork-while-held: unlock=%d child-exit=%d\n", unlocked,
+              child_exit);
+  return unlocked == 0 && child_exit == 0;
+}
+
 }  // namespace
 
 int main() {
@@ -187,6 +308,8 @@ int main() {
   ok = robust_not_recoverable_trylock() && ok;
   ok = errorcheck() && ok;
   ok = recursive() && ok;
+  ok = cancel_cond_wait() && ok;
+  ok = fork_while_held() && ok;
   std::printf("%s\n", ok ? "all cases as documented" : "MISMATCH");
   return ok ? 0 : 1;
 }

@@ -16,10 +16,22 @@
 //       first), plus a condition-variable start gate so the cond path is
 //       exercised too.  Exits 0; the shim must report zero faults.
 //
-// Modes: argv[1] = "clean" (default) | "deadlock"; argv[2] = rounds per
-// philosopher in clean mode (default 200).  Parsed by hand — this file
-// must not touch robmon's util::Flags either.
+//   LD_PRELOAD=./librobmon_preload.so ./example_vanilla_dining rotated
+//     → two philosophers and two forks: the first takes fork 0 then fork
+//       1, and only after it has put both down does the second take fork 1
+//       then fork 0.  The run never deadlocks, but the opposite orders
+//       could: the shim must print exactly one two-fork lock-order warning
+//       and no deadlock.  Each holds both forks for 300 ms, and the process
+//       lingers 600 ms more, so the shim's default check and lock-order
+//       cadences see it all.  "rotated-trylock" is the same, with the
+//       second philosopher's outer fork taken by pthread_mutex_trylock.
+//
+// Modes: argv[1] = "clean" (default) | "deadlock" | "rotated" |
+// "rotated-trylock"; argv[2] = rounds per philosopher in clean mode
+// (default 200).  Parsed by hand — this file must not touch robmon's
+// util::Flags either.
 #include <pthread.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -78,16 +90,69 @@ void* philosopher(void* raw) {
   return nullptr;
 }
 
+// Rotated mode: one philosopher per order, run one after the other.
+constexpr useconds_t kRotatedHoldUs = 300'000;
+constexpr useconds_t kRotatedLingerUs = 600'000;
+
+struct Rotation {
+  pthread_t before;    ///< The philosopher that must finish first.
+  bool outer_trylock;  ///< Take the outer fork by pthread_mutex_trylock.
+  int rc = -1;         ///< The outer acquisition's return code.
+};
+
+void* rotated_philosopher(void* raw) {
+  Rotation& rotation = *static_cast<Rotation*>(raw);
+  // Both philosophers are alive from the start, so they never share a
+  // thread id.
+  pthread_join(rotation.before, nullptr);
+  rotation.rc = rotation.outer_trylock ? pthread_mutex_trylock(&g_forks[1])
+                                       : pthread_mutex_lock(&g_forks[1]);
+  pthread_mutex_lock(&g_forks[0]);
+  usleep(kRotatedHoldUs);
+  pthread_mutex_unlock(&g_forks[0]);
+  pthread_mutex_unlock(&g_forks[1]);
+  return nullptr;
+}
+
+void* ordered_philosopher(void*) {
+  pthread_mutex_lock(&g_forks[0]);
+  pthread_mutex_lock(&g_forks[1]);
+  usleep(kRotatedHoldUs);
+  pthread_mutex_unlock(&g_forks[1]);
+  pthread_mutex_unlock(&g_forks[0]);
+  return nullptr;
+}
+
+int run_rotated(bool outer_trylock) {
+  for (auto& fork : g_forks) pthread_mutex_init(&fork, nullptr);
+  Rotation rotation{};
+  rotation.outer_trylock = outer_trylock;
+  pthread_t rotated;
+  pthread_create(&rotation.before, nullptr, ordered_philosopher, nullptr);
+  pthread_create(&rotated, nullptr, rotated_philosopher, &rotation);
+  pthread_join(rotated, nullptr);
+  usleep(kRotatedLingerUs);
+  for (auto& fork : g_forks) pthread_mutex_destroy(&fork);
+  std::printf("rotated orders finished (outer %s=%d)\n",
+              outer_trylock ? "trylock" : "lock", rotation.rc);
+  return rotation.rc == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool deadlock = false;
   int rounds = 200;
   if (argc > 1) {
+    if (std::strcmp(argv[1], "rotated") == 0) return run_rotated(false);
+    if (std::strcmp(argv[1], "rotated-trylock") == 0) return run_rotated(true);
     if (std::strcmp(argv[1], "deadlock") == 0) {
       deadlock = true;
     } else if (std::strcmp(argv[1], "clean") != 0) {
-      std::fprintf(stderr, "usage: %s [clean|deadlock] [rounds]\n", argv[0]);
+      std::fprintf(stderr,
+                   "usage: %s [clean|deadlock|rotated|rotated-trylock] "
+                   "[rounds]\n",
+                   argv[0]);
       return 2;
     }
   }

@@ -27,6 +27,12 @@
 //     direction is forced by the kinds (a parked thread cannot acquire).
 //   * hold(A) x hold(B): direction follows the earlier acquisition start;
 //     identical starts (frozen ManualClock) are skipped as unordered.
+// A reported hold start need not be the acquisition instant: it may be any
+// time from the acquisition up to the holder's first nested acquisition
+// (the shim stamps a thread's outermost hold only then), which keeps the
+// certified interval inside the true one and the nested holds in order.
+// Until stamped, a hold reports a start after its capture: an empty
+// interval, which joins nothing.
 // Mutex occupancy (Running) and waits by a pid that already holds the same
 // monitor are excluded: entering a monitor to *release* a unit is not an
 // acquisition, and including it would flag deadlock-free release orders.

@@ -14,6 +14,11 @@
 // passes straight through to libc, which is what makes the shim unable
 // to deadlock against itself (see the argument in interpose/runtime.hpp).
 //
+// Hold starts: before every real lock, trylock and cond wait, the wrapper
+// stamps the thread's unstamped hold (SyntheticMonitor::stamp_outer, from
+// the thread's TLS record); a thread's outermost hold is taken unstamped,
+// so an uncontended lock/unlock pair reads no clock.
+//
 // Lock fast path: a successful real trylock means no blocking was ever
 // observable, so only an acquire is recorded.  "Successful" includes
 // EOWNERDEAD: a robust mutex's dead owner hands it to the caller, locked
@@ -48,9 +53,11 @@
 
 namespace {
 
+using robmon::interpose::CondWaitScope;
 using robmon::interpose::ReentryGuard;
 using robmon::interpose::Runtime;
 using robmon::interpose::SyntheticMonitor;
+using robmon::interpose::ThreadHolds;
 using robmon::interpose::self_tid;
 
 /// Whether a lock or trylock result leaves the caller holding the mutex:
@@ -101,14 +108,16 @@ int pthread_mutex_lock(pthread_mutex_t* mutex) {
       Runtime::instance().monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
   if (monitor == nullptr) return real(mutex);
   const robmon::Tid tid = self_tid();
+  ThreadHolds& holds = robmon::interpose::detail::t_holds;
   // An EOWNERDEAD from the trylock has already acquired the mutex: the
   // blocking lock below would wait on the caller itself.  A code other
   // than EBUSY is final: after a trylock's ENOTRECOVERABLE, glibc's
   // blocking lock on the same mutex never returns.
   if (monitor->probe_not_recoverable()) return ENOTRECOVERABLE;
+  SyntheticMonitor::stamp_outer(tid, holds);
   const int tried = real_try(mutex);
   if (acquired(tried)) {
-    monitor->lock_acquired(tid);
+    monitor->lock_acquired(tid, holds);
     return tried;
   }
   if (tried != EBUSY) {
@@ -118,7 +127,7 @@ int pthread_mutex_lock(pthread_mutex_t* mutex) {
   monitor->lock_blocked(tid);
   const int rc = real(mutex);
   if (acquired(rc)) {
-    monitor->lock_acquired(tid);
+    monitor->lock_acquired(tid, holds);
   } else {
     monitor->lock_cancelled(tid);
   }
@@ -131,13 +140,15 @@ int pthread_mutex_trylock(pthread_mutex_t* mutex) {
   ReentryGuard guard;
   SyntheticMonitor* monitor =
       Runtime::instance().monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
+  if (monitor == nullptr) return real(mutex);
   // After the lock wrapper's probe found the mutex not recoverable, the
   // real trylock would read the lock word that probe left held as EBUSY.
-  if (monitor != nullptr && monitor->end_probe_not_recoverable()) {
-    return ENOTRECOVERABLE;
-  }
+  if (monitor->end_probe_not_recoverable()) return ENOTRECOVERABLE;
+  const robmon::Tid tid = self_tid();
+  ThreadHolds& holds = robmon::interpose::detail::t_holds;
+  SyntheticMonitor::stamp_outer(tid, holds);
   const int rc = real(mutex);
-  if (acquired(rc) && monitor != nullptr) monitor->lock_acquired(self_tid());
+  if (acquired(rc)) monitor->lock_acquired(tid, holds);
   return rc;
 }
 
@@ -147,7 +158,9 @@ int pthread_mutex_unlock(pthread_mutex_t* mutex) {
   ReentryGuard guard;
   SyntheticMonitor* monitor =
       Runtime::instance().monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
-  if (monitor != nullptr) monitor->unlocked(self_tid());
+  if (monitor != nullptr) {
+    monitor->unlocked(self_tid(), robmon::interpose::detail::t_holds);
+  }
   return real(mutex);
 }
 
@@ -174,18 +187,14 @@ int pthread_cond_wait(pthread_cond_t* cond, pthread_mutex_t* mutex) {
       runtime.monitor_for(cond, SyntheticMonitor::Kind::kCondition);
   SyntheticMonitor* mutex_monitor =
       runtime.monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
-  const robmon::Tid tid = self_tid();
   // The wait releases the mutex and parks: record both edges before the
   // real call so a checkpoint during the park sees the true state.  The
   // reacquisition inside the real wait is unobservable; the acquire is
-  // recorded when the wait returns (limitation: a thread blocked on that
-  // hidden reacquisition contributes no wait-for edge).
-  if (mutex_monitor != nullptr) mutex_monitor->unlocked(tid);
-  if (cond_monitor != nullptr) cond_monitor->cond_parked(tid);
-  const int rc = real(cond, mutex);
-  if (cond_monitor != nullptr) cond_monitor->cond_unparked(tid);
-  if (mutex_monitor != nullptr) mutex_monitor->lock_acquired(tid);
-  return rc;
+  // recorded when the wait returns or is cancelled (limitation: a thread
+  // blocked on that hidden reacquisition contributes no wait-for edge).
+  const CondWaitScope scope(cond_monitor, mutex_monitor, self_tid(),
+                            robmon::interpose::detail::t_holds);
+  return real(cond, mutex);
 }
 
 int pthread_cond_timedwait(pthread_cond_t* cond, pthread_mutex_t* mutex,
@@ -199,13 +208,9 @@ int pthread_cond_timedwait(pthread_cond_t* cond, pthread_mutex_t* mutex,
       runtime.monitor_for(cond, SyntheticMonitor::Kind::kCondition);
   SyntheticMonitor* mutex_monitor =
       runtime.monitor_for(mutex, SyntheticMonitor::Kind::kMutex);
-  const robmon::Tid tid = self_tid();
-  if (mutex_monitor != nullptr) mutex_monitor->unlocked(tid);
-  if (cond_monitor != nullptr) cond_monitor->cond_parked(tid);
-  const int rc = real(cond, mutex, abstime);
-  if (cond_monitor != nullptr) cond_monitor->cond_unparked(tid);
-  if (mutex_monitor != nullptr) mutex_monitor->lock_acquired(tid);
-  return rc;
+  const CondWaitScope scope(cond_monitor, mutex_monitor, self_tid(),
+                            robmon::interpose::detail::t_holds);
+  return real(cond, mutex, abstime);
 }
 
 int pthread_cond_signal(pthread_cond_t* cond) {

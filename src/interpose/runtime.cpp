@@ -130,6 +130,7 @@ Runtime* Runtime::instance_if_built() {
 
 void Runtime::reset_after_fork() {
   detail::t_tid = 0;
+  detail::t_holds = {};
   Runtime* old = g_runtime.exchange(nullptr, std::memory_order_acq_rel);
   if (old == nullptr) return;
   // Intrusive push — no allocation in the (fork-constrained) child — and

@@ -19,7 +19,8 @@
 // No-self-deadlock argument (the shim's core obligation):
 //   * application hot path: an uncontended lock/unlock updates the
 //     synthetic monitor's owner state in place under the host mutex the
-//     thread already holds — no robmon lock (SyntheticMonitor's contract);
+//     thread already holds — no robmon lock, and for the thread's
+//     outermost hold no clock read either (SyntheticMonitor's contract);
 //   * blocking, parking and cond ops (and every op while ROBMON_TRACE
 //     records) take the monitor's queue_mu_, a leaf lock: nothing is
 //     acquired while it is held, least of all an application lock;
@@ -100,6 +101,10 @@ namespace detail {
 /// The cached kernel tid; 0 = not yet read (the fork child clears it).
 [[gnu::tls_model("initial-exec")]] inline constinit thread_local Tid t_tid =
     0;
+/// The thread's observed mutex holds (lazily stamped hold starts; the fork
+/// child clears it).
+[[gnu::tls_model("initial-exec")]] inline constinit thread_local ThreadHolds
+    t_holds{};
 }  // namespace detail
 
 /// Per-thread re-entrancy state for the interposition wrappers.  A wrapper
@@ -133,6 +138,38 @@ inline Tid self_tid() {
   }
   return detail::t_tid;
 }
+
+/// The cond-wait wrappers' bookkeeping around the real wait.  Before it:
+/// the mutex is released, the thread's unstamped hold (if any) is stamped
+/// and the thread parks on the condition.  After it — on return and on
+/// cancellation alike — the thread leaves the condition's queue and owns
+/// the mutex again.  glibc reacquires the mutex of a cancelled waiter and
+/// unwinds its frames, so the destructor runs before the host's cleanup
+/// handlers, which may unlock the mutex; without it a cancelled waiter's
+/// tid would stay parked on the shadow condition forever (and Linux reuses
+/// tids).  Either monitor may be null (registry full).
+class CondWaitScope {
+ public:
+  CondWaitScope(SyntheticMonitor* cond, SyntheticMonitor* mutex, Tid tid,
+                ThreadHolds& holds)
+      : cond_(cond), mutex_(mutex), tid_(tid), holds_(holds) {
+    if (mutex_ != nullptr) mutex_->unlocked(tid_, holds_);
+    SyntheticMonitor::stamp_outer(tid_, holds_);
+    if (cond_ != nullptr) cond_->cond_parked(tid_);
+  }
+  ~CondWaitScope() {
+    if (cond_ != nullptr) cond_->cond_unparked(tid_);
+    if (mutex_ != nullptr) mutex_->lock_acquired(tid_, holds_);
+  }
+  CondWaitScope(const CondWaitScope&) = delete;
+  CondWaitScope& operator=(const CondWaitScope&) = delete;
+
+ private:
+  SyntheticMonitor* const cond_;
+  SyntheticMonitor* const mutex_;
+  const Tid tid_;
+  ThreadHolds& holds_;
+};
 
 /// ReportSink that prints every detection to stderr as it happens and
 /// counts per rule — the shim's only output channel into an unmodified
@@ -175,7 +212,8 @@ class Runtime {
   static Runtime* instance_if_built();
 
   /// pthread_atfork child handler: clear the forking thread's cached tid
-  /// (the child is a new task), retire the parent's runtime — its worker
+  /// (the child is a new task) and hold record (its holds were on the
+  /// parent's monitors), retire the parent's runtime — its worker
   /// threads do not exist in the child — onto a reachable graveyard
   /// (never freed: application threads may hold pointers into it) and let
   /// the next intercepted operation build a fresh one.

@@ -66,31 +66,50 @@ SyntheticMonitor::Owner SyntheticMonitor::read_owner() const {
   return {};
 }
 
-void SyntheticMonitor::acquire_owner(Tid tid, util::TimeNs now) {
+void SyntheticMonitor::acquire_owner(Tid tid, util::TimeNs start) {
   // Relaxed reads of fields only this thread (the holder) writes, or that
   // the previous holder wrote before releasing the host mutex.
   if (owner_.load(std::memory_order_relaxed) == tid) {
-    // Recursive re-acquisition.
+    // Recursive re-acquisition: the hold keeps its start and ticket.
     write_owner({tid, owner_depth_.load(std::memory_order_relaxed) + 1,
                  owner_since_.load(std::memory_order_relaxed),
                  owner_ticket_.load(std::memory_order_relaxed)});
   } else {
-    write_owner({tid, 1, now, new_ticket()});
+    // The ownership ticket is the version this write publishes: even,
+    // and never published twice.
+    write_owner({tid, 1, start,
+                 owner_version_.load(std::memory_order_relaxed) + 2});
   }
 }
 
-bool SyntheticMonitor::release_owner(Tid tid) {
+SyntheticMonitor::Release SyntheticMonitor::release_owner(Tid tid) {
   // Guarded: an unlock from a thread the adapter never saw acquire
   // (pthread_mutex_timedlock is unobserved) is a read-only no-op.
-  if (owner_.load(std::memory_order_relaxed) != tid) return false;
+  if (owner_.load(std::memory_order_relaxed) != tid) {
+    return Release::kNotOwner;
+  }
   const std::int64_t depth = owner_depth_.load(std::memory_order_relaxed);
   if (depth > 1) {
     write_owner({tid, depth - 1, owner_since_.load(std::memory_order_relaxed),
                  owner_ticket_.load(std::memory_order_relaxed)});
-    return false;
+    return Release::kNested;
   }
   write_owner({});
-  return true;
+  return Release::kFreed;
+}
+
+void SyntheticMonitor::stamp_hold(Tid tid, ThreadHolds& holds) {
+  holds.unstamped = nullptr;
+  const util::TimeNs start = holds.next_start(clock_->now_ns());
+  // Guarded: a no-op unless this thread holds the mutex here unstamped.
+  // After a reset() (the host destroyed the mutex while holding it)
+  // another thread may own it.
+  if (owner_.load(std::memory_order_relaxed) != tid ||
+      owner_since_.load(std::memory_order_relaxed) != kUnstamped) {
+    return;
+  }
+  write_owner({tid, owner_depth_.load(std::memory_order_relaxed), start,
+               owner_ticket_.load(std::memory_order_relaxed)});
 }
 
 // --- Queues and log (queue_mu_). ---------------------------------------------
@@ -113,30 +132,42 @@ void SyntheticMonitor::lock_blocked(Tid tid) {
   std::lock_guard<std::mutex> lock(queue_mu_);
   touch_queues();
   const util::TimeNs now = clock_->now_ns();
-  entry_queue_.push_back({tid, proc_lock_, now, new_ticket()});
+  entry_queue_.push_back({tid, proc_lock_, now, new_queue_ticket()});
   entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
   record(trace::EventRecord::enter(tid, proc_lock_, false, now));
 }
 
+void SyntheticMonitor::lock_acquired(Tid tid, ThreadHolds& holds) {
+  if (holds.count++ == 0) {
+    holds.unstamped = this;
+    acquired(tid, kUnstamped);
+  } else {
+    acquired(tid, holds.next_start(clock_->now_ns()));
+  }
+}
+
 void SyntheticMonitor::lock_acquired(Tid tid) {
+  acquired(tid, clock_->now_ns());
+}
+
+void SyntheticMonitor::acquired(Tid tid, util::TimeNs start) {
   // Only this thread's own lock_blocked can have queued it, and that store
   // precedes this load in program order: a zero means no entry to erase.
   if (!recording_ && entry_waiters_.load(std::memory_order_relaxed) == 0) {
-    acquire_owner(tid, clock_->now_ns());
+    acquire_owner(tid, start);
     return;
   }
   std::lock_guard<std::mutex> lock(queue_mu_);
   touch_queues();
-  const util::TimeNs now = clock_->now_ns();
   const std::size_t queued = entry_queue_.size();
   erase_entry(entry_queue_, tid);
   entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
-  acquire_owner(tid, now);
+  acquire_owner(tid, start);
   // Reduced recording model: a blocked request was recorded at block time
   // and its resume is implied; only a fast-path acquire records a fresh
   // (immediately admitted) Enter.
-  if (entry_queue_.size() == queued) {
-    record(trace::EventRecord::enter(tid, proc_lock_, true, now));
+  if (recording_ && entry_queue_.size() == queued) {
+    record(trace::EventRecord::enter(tid, proc_lock_, true, clock_->now_ns()));
   }
 }
 
@@ -147,25 +178,32 @@ void SyntheticMonitor::lock_cancelled(Tid tid) {
   entry_waiters_.store(entry_queue_.size(), std::memory_order_relaxed);
 }
 
-void SyntheticMonitor::unlocked(Tid tid) {
-  if (!recording_) {
-    release_owner(tid);
-    return;
-  }
+bool SyntheticMonitor::unlocked(Tid tid) {
+  if (!recording_) return release_owner(tid) != Release::kNotOwner;
   std::lock_guard<std::mutex> lock(queue_mu_);
   touch_queues();
-  if (release_owner(tid)) {
+  const Release release = release_owner(tid);
+  if (release == Release::kFreed) {
     record(trace::EventRecord::signal_exit(tid, proc_lock_, trace::kNoSymbol,
                                            !entry_queue_.empty(),
                                            clock_->now_ns()));
   }
+  return release != Release::kNotOwner;
+}
+
+void SyntheticMonitor::unlocked(Tid tid, ThreadHolds& holds) {
+  if (!unlocked(tid)) return;
+  --holds.count;
+  // An unstamped hold has depth 1 (a recursive relock stamps it first), so
+  // this release ended it.
+  if (holds.unstamped == this) holds.unstamped = nullptr;
 }
 
 void SyntheticMonitor::cond_parked(Tid tid) {
   std::lock_guard<std::mutex> lock(queue_mu_);
   touch_queues();
   const util::TimeNs now = clock_->now_ns();
-  cond_queue_.push_back({tid, proc_wait_, now, new_ticket()});
+  cond_queue_.push_back({tid, proc_wait_, now, new_queue_ticket()});
   record(trace::EventRecord::wait(tid, proc_wait_, cond_sym_, now));
 }
 

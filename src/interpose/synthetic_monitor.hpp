@@ -27,8 +27,9 @@
 //
 // Host-serialized state.  Every writer of a mutex monitor's owner state
 // (owner tid, recursion depth, hold start, ticket) holds the host's own
-// mutex: lock_acquired runs after the real lock returns and unlocked runs
-// before the real unlock.  So the owner fields need no robmon lock.  They
+// mutex: lock_acquired runs after the real lock returns, a stamp (below)
+// runs while its thread holds the mutex, and unlocked runs before the real
+// unlock.  So the owner fields need no robmon lock.  They
 // are atomics behind a single-writer seqlock version word (release stores
 // and acquire loads, plain moves on x86), and snapshot() and capture()
 // read them with a retry loop.  An unlock by a non-owner reads
@@ -40,25 +41,58 @@
 // lock_acquired only when a waiter is queued (it then erases its own entry
 // and publishes ownership inside the lock).  When recording
 // (Config::retain_history) every op takes it, so the log sees one order.
-// An uncontended lock/unlock pair therefore takes no robmon lock, and
+// An uncontended lock/unlock pair therefore takes no robmon lock (and, as
+// the thread's outermost hold, reads no clock and makes no atomic
+// read-modify-write), and
 // robmon never holds queue_mu_ while it acquires an application lock —
 // the shim cannot deadlock against itself.
 //
-// Clock reads: only lock_blocked, cond_parked and lock_acquired read the
-// clock (queue entry times and the hold start that lock-order's
-// hold×hold join orders nested holds by), plus, when recording, every op
-// that records an event.
+// Clock reads and lazily stamped hold starts.  The hold start (the
+// certified-interval start lock-order's hold x hold join orders nested
+// holds by) is the only clock read on the lock path, and most holds never
+// need it: a hold taken while its thread holds no other observed mutex is
+// stored *unstamped* (kUnstamped), with no clock read.  Each thread keeps a
+// ThreadHolds record (the shim's is in initial-exec TLS, see
+// interpose/runtime.hpp): its count of observed holds and its unstamped
+// hold.  Before the thread's next lock, trylock or cond wait, stamp_outer()
+// reads the clock once (t0) and stamps that hold with t0 under the owner
+// seqlock — safe, because the stamping thread is the holder, so the
+// single-writer rule holds.  A hold taken while others are held reads the
+// clock after acquiring, as every hold once did.  Invariants:
+//   (a) a reported start is never earlier than the true acquisition: t0
+//       is read after the outer acquisition and before the inner one;
+//   (b) one thread's nested holds get strictly increasing starts (a start
+//       is at least one past the thread's previous one, so a clock that
+//       has not moved cannot make two holds unordered);
+//   (c) an unstamped hold exists only while its thread holds and waits on
+//       nothing else observed: every nested lock, trylock or cond-wait
+//       reacquisition stamps it first.
+// A snapshot reports an unstamped hold with start kUnstamped, after any
+// capture: its certified interval is empty, and the join's overlap test
+// rejects it against every access.  By (c) it could not have joined
+// anything at its true start either: any access of the same thread that
+// overlaps it began after the stamp.  So no edge that a start read at
+// acquisition could yield is lost, and none is made up.  Wait-for matches
+// holds by ticket, never by start.  Stamping is guarded (a no-op unless the
+// stamping thread owns the mutex, unstamped), so a reset() by
+// pthread_mutex_destroy is never overwritten.  Beyond that, lock_blocked
+// and cond_parked read the clock (queue entry times), and, when recording,
+// every op that records an event.
 //
 // Every transition is *guarded* (an unlock by a non-owner, or the removal
 // of an absent queue entry, is a no-op), so partial observation — an
 // unobserved pthread_mutex_timedlock, say — can only under-report, never
-// fabricate or corrupt state.  Episode tickets come from one per-monitor
-// counter, so the pool's two-pass live validation can tell a continuous
-// wait or hold from a re-formed one.
+// fabricate or corrupt state.  Episode tickets tell a continuous wait or
+// hold from a re-formed one for the pool's two-pass live validation, with
+// no atomic read-modify-write: an ownership's ticket is the (even) owner
+// seqlock version its acquisition publishes, and queue entries take odd
+// tickets from a counter under queue_mu_.  Both are unique per episode of
+// the monitor and never equal each other.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -73,6 +107,26 @@
 #include "util/ids.hpp"
 
 namespace robmon::interpose {
+
+class SyntheticMonitor;
+
+/// One application thread's observed mutex holds: the record behind the
+/// lazily stamped hold start (see "Clock reads" above).  The shim keeps one
+/// per thread in initial-exec TLS; a test or bench thread keeps its own.
+struct ThreadHolds {
+  /// Observed holds, recursion levels included.
+  std::int64_t count = 0;
+  /// The hold taken while count was 0, until an acquisition stamps it.
+  SyntheticMonitor* unstamped = nullptr;
+  /// The latest start this thread gave a hold; the next is later (rule b).
+  util::TimeNs last_start = 0;
+
+  /// A start read at `now`, strictly later than every earlier one.
+  util::TimeNs next_start(util::TimeNs now) {
+    last_start = now > last_start ? now : last_start + 1;
+    return last_start;
+  }
+};
 
 class SyntheticMonitor final : public rt::EventSink {
  public:
@@ -98,16 +152,34 @@ class SyntheticMonitor final : public rt::EventSink {
   SyntheticMonitor(const SyntheticMonitor&) = delete;
   SyntheticMonitor& operator=(const SyntheticMonitor&) = delete;
 
+  /// The start of a hold no acquisition has stamped yet: later than any
+  /// capture, so its certified interval is empty.
+  static constexpr util::TimeNs kUnstamped =
+      std::numeric_limits<util::TimeNs>::max();
+
   // --- Producer surface (application threads). ------------------------------
+
+  /// Before the real lock, trylock or cond wait of a thread keeping
+  /// `holds`: stamp its unstamped hold, if it has one (rule c).
+  static void stamp_outer(Tid tid, ThreadHolds& holds) {
+    if (holds.unstamped != nullptr) holds.unstamped->stamp_hold(tid, holds);
+  }
 
   /// The thread failed a trylock and is about to block in the real lock.
   void lock_blocked(Tid tid);
   /// The real lock (or trylock) returned success; the caller holds it.
+  /// A hold taken while the thread holds nothing else observed is left
+  /// unstamped; any other reads its start from the clock.
+  void lock_acquired(Tid tid, ThreadHolds& holds);
+  /// The same without a record: the start is read from the clock at every
+  /// acquisition (the eager reference the stamping tests compare with).
   void lock_acquired(Tid tid);
   /// The blocking lock returned an error (e.g. EDEADLK): undo the block.
   void lock_cancelled(Tid tid);
-  /// The thread is about to release the mutex (it still holds it).
-  void unlocked(Tid tid);
+  /// The thread is about to release the mutex (it still holds it).  Returns
+  /// whether it held it; with `holds`, that hold leaves the record.
+  bool unlocked(Tid tid);
+  void unlocked(Tid tid, ThreadHolds& holds);
   /// The thread released the mutex inside pthread_cond_wait and parks.
   void cond_parked(Tid tid);
   /// pthread_cond_wait returned (signal, broadcast or timeout).
@@ -179,10 +251,14 @@ class SyntheticMonitor final : public rt::EventSink {
   void write_owner(const Owner& owner);
   /// Consistent read of the owner fields (seqlock retry loop).
   Owner read_owner() const;
+  /// lock_acquired body; `start` may be kUnstamped.
+  void acquired(Tid tid, util::TimeNs start);
+  /// stamp_outer's body: `holds.unstamped` is this monitor.
+  void stamp_hold(Tid tid, ThreadHolds& holds);
   /// Owner-state half of lock_acquired / unlocked (host mutex held).
-  void acquire_owner(Tid tid, util::TimeNs now);
-  /// Returns true when the release freed the mutex (depth reached 0).
-  bool release_owner(Tid tid);
+  void acquire_owner(Tid tid, util::TimeNs start);
+  enum class Release { kNotOwner, kNested, kFreed };
+  Release release_owner(Tid tid);
   /// Append to the log when recording.  queue_mu_ held.
   void record(const trace::EventRecord& event);
   /// Move queue_version_.  queue_mu_ held (the single writer).
@@ -194,8 +270,11 @@ class SyntheticMonitor final : public rt::EventSink {
   trace::SchedulingState snapshot_locked() const;
   /// Remove `tid`'s entry from `queue`, if any.  queue_mu_ held.
   static void erase_entry(std::vector<trace::QueueEntry>& queue, Tid tid);
-  std::uint64_t new_ticket() {
-    return next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// An odd queue-entry ticket.  queue_mu_ held.
+  std::uint64_t new_queue_ticket() {
+    const std::uint64_t ticket = next_queue_ticket_;
+    next_queue_ticket_ += 2;
+    return ticket;
   }
 
   const Kind kind_;
@@ -216,15 +295,13 @@ class SyntheticMonitor final : public rt::EventSink {
   std::atomic<std::int64_t> owner_depth_{0};
   std::atomic<util::TimeNs> owner_since_{0};
   std::atomic<std::uint64_t> owner_ticket_{0};
-  /// Monotonic episode counter (see HoareMonitor::next_ticket_): one per
-  /// blocking episode and per ownership.
-  std::atomic<std::uint64_t> next_ticket_{0};
 
   /// Leaf lock over the queues and the log; never held while acquiring an
   /// application lock.
   mutable std::mutex queue_mu_;
   std::vector<trace::QueueEntry> entry_queue_;  // guarded by queue_mu_
   std::vector<trace::QueueEntry> cond_queue_;   // guarded by queue_mu_
+  std::uint64_t next_queue_ticket_ = 1;         // guarded by queue_mu_
   /// entry_queue_.size(), written under queue_mu_: lets lock_acquired skip
   /// the lock when nobody (itself included) is queued.
   std::atomic<std::size_t> entry_waiters_{0};

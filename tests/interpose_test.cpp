@@ -6,6 +6,7 @@
 // synthetic monitors must produce the same wait-for edges and the same
 // confirmed verdict.
 #include <gtest/gtest.h>
+#include <pthread.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,11 +14,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fault.hpp"
+#include "core/lockorder.hpp"
 #include "core/monitor_spec.hpp"
 #include "interpose/runtime.hpp"
 #include "interpose/synthetic_monitor.hpp"
@@ -30,9 +33,11 @@ namespace robmon {
 namespace {
 
 using core::RuleId;
+using interpose::CondWaitScope;
 using interpose::ReentryGuard;
 using interpose::Runtime;
 using interpose::SyntheticMonitor;
+using interpose::ThreadHolds;
 using rt::CheckerPool;
 using rt::HoareMonitor;
 
@@ -198,8 +203,11 @@ TEST(SyntheticMonitorTest, ConcurrentOwnersKeepSnapshotsConsistent) {
   // host serialization the owner seqlock relies on — with recursive
   // acquires and blocked/cancelled episodes mixed in, while a fourth
   // thread captures.  Every capture must show a whole owner (Running,
-  // holder, depth and ticket from one ownership) or none.  Both the
-  // in-place path and the recording (ROBMON_TRACE) path run.
+  // holder, depth and ticket from one ownership) or none.  Each owner keeps
+  // a hold record, so its holds start unstamped and its recursive relocks
+  // and nested holds stamp them while the reader captures; a relocked hold
+  // must never show unstamped.  Both the in-place path and the recording
+  // (ROBMON_TRACE) path run.
   for (const bool recording : {false, true}) {
     SCOPED_TRACE(recording ? "recording" : "in place");
     SyntheticMonitor::Config config = small_config();
@@ -222,30 +230,44 @@ TEST(SyntheticMonitorTest, ConcurrentOwnersKeepSnapshotsConsistent) {
                            state.running == state.holders[0].pid &&
                            state.holders[0].units >= 1 &&
                            state.running_ticket != 0 &&
-                           state.running_ticket == state.holders[0].ticket;
+                           state.running_ticket == state.holders[0].ticket &&
+                           (state.holders[0].units == 1 ||
+                            state.holders[0].held_since !=
+                                SyntheticMonitor::kUnstamped);
         if (!free && !whole) torn.fetch_add(1, std::memory_order_relaxed);
       }
     });
     std::vector<std::thread> owners;
     for (Tid tid = 1; tid <= 3; ++tid) {
       owners.emplace_back([&, tid] {
+        ThreadHolds holds;
+        SyntheticMonitor own("own", SyntheticMonitor::Kind::kMutex,
+                             util::SteadyClock::instance(), config);
         for (int i = 0; i < kRounds; ++i) {
           if (i % 5 == 0) {  // A blocked episode the real lock cancels.
             m.lock_blocked(tid);
             m.lock_cancelled(tid);
           }
+          SyntheticMonitor::stamp_outer(tid, holds);
           if (!host.try_lock()) {
             m.lock_blocked(tid);
             host.lock();
           }
-          m.lock_acquired(tid);
+          m.lock_acquired(tid, holds);
           if (i % 3 == 0) {  // Recursive re-acquisition (a recursive mutex).
-            m.lock_acquired(tid);
-            m.unlocked(tid);
+            SyntheticMonitor::stamp_outer(tid, holds);
+            m.lock_acquired(tid, holds);
+            m.unlocked(tid, holds);
+          } else if (i % 3 == 1) {  // A nested hold of a private mutex.
+            SyntheticMonitor::stamp_outer(tid, holds);
+            own.lock_acquired(tid, holds);
+            own.unlocked(tid, holds);
           }
-          m.unlocked(tid);
+          m.unlocked(tid, holds);
           host.unlock();
         }
+        EXPECT_EQ(holds.count, 0);
+        EXPECT_EQ(holds.unstamped, nullptr);
         running_owners.fetch_sub(1, std::memory_order_release);
       });
     }
@@ -288,6 +310,283 @@ TEST(SyntheticMonitorTest, RetentionOffRecordsNothingButStateMoves) {
   EXPECT_TRUE(m.history().empty());
   EXPECT_EQ(m.log().total_appended(), 0u);
   EXPECT_EQ(m.events_lost(), 0u);
+}
+
+// --- Lazily stamped hold starts and RMW-free tickets. ------------------------
+
+/// The A -> B edges of a graph fed one snapshot of each monitor.
+std::vector<core::OrderEdge> order_edges(const SyntheticMonitor& a,
+                                         const SyntheticMonitor& b) {
+  core::LockOrderGraph graph;
+  graph.observe(1, "A", a.snapshot());
+  graph.observe(2, "B", b.snapshot());
+  return graph.edges();
+}
+
+TEST(HoldStampTest, OutermostHoldIsUnstampedAndJoinsNothing) {
+  // A thread's outermost hold reads no clock: its start is kUnstamped,
+  // after any capture, so its certified interval is empty.  Even against a
+  // hold of the same thread whose interval spans the whole run, it joins
+  // nothing.
+  util::ManualClock clock(10);
+  SyntheticMonitor a("A", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  SyntheticMonitor b("B", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  b.lock_acquired(1);  // Start 10, from the clock.
+  clock.set(20);
+  ThreadHolds holds;
+  SyntheticMonitor::stamp_outer(1, holds);  // Nothing to stamp yet.
+  a.lock_acquired(1, holds);
+  EXPECT_EQ(holds.count, 1);
+  EXPECT_EQ(holds.unstamped, &a);
+  clock.set(30);
+  const trace::SchedulingState state = a.snapshot();
+  ASSERT_EQ(state.holders.size(), 1u);
+  EXPECT_EQ(state.holders[0].held_since, SyntheticMonitor::kUnstamped);
+  EXPECT_GT(state.holders[0].held_since, state.captured_at);
+  EXPECT_EQ(state.running_since, SyntheticMonitor::kUnstamped);
+  EXPECT_TRUE(order_edges(a, b).empty());
+
+  a.unlocked(1, holds);
+  EXPECT_EQ(holds.count, 0);
+  EXPECT_EQ(holds.unstamped, nullptr);
+}
+
+TEST(HoldStampTest, NestedAcquireStampsTheOuterHoldFirst) {
+  // Lazily: the outer hold is stamped just before the nested acquisition,
+  // which reads the clock after acquiring.  Eagerly (a start read at every
+  // acquisition): the reference.  Both must yield the same A -> B witness.
+  const auto run = [](bool lazy) {
+    util::ManualClock clock(100);
+    SyntheticMonitor a("A", SyntheticMonitor::Kind::kMutex, clock,
+                       small_config());
+    SyntheticMonitor b("B", SyntheticMonitor::Kind::kMutex, clock,
+                       small_config());
+    ThreadHolds holds;
+    if (lazy) {
+      a.lock_acquired(1, holds);
+      clock.set(200);
+      SyntheticMonitor::stamp_outer(1, holds);  // Before the real lock of B.
+      EXPECT_EQ(holds.unstamped, nullptr);
+      clock.set(300);
+      b.lock_acquired(1, holds);
+    } else {
+      a.lock_acquired(1);
+      clock.set(300);
+      b.lock_acquired(1);
+    }
+    clock.set(400);
+    const util::TimeNs a_since = a.snapshot().holders.at(0).held_since;
+    const util::TimeNs b_since = b.snapshot().holders.at(0).held_since;
+    EXPECT_EQ(a_since, lazy ? 200 : 100);
+    EXPECT_EQ(b_since, 300);
+    return order_edges(a, b);
+  };
+  const std::vector<core::OrderEdge> lazy = run(true);
+  const std::vector<core::OrderEdge> eager = run(false);
+  ASSERT_EQ(lazy.size(), 1u);
+  ASSERT_EQ(eager.size(), 1u);
+  EXPECT_EQ(lazy[0].from_name, "A");
+  EXPECT_EQ(lazy[0].to_name, "B");
+  ASSERT_EQ(lazy[0].witnesses.size(), 1u);
+  ASSERT_EQ(eager[0].witnesses.size(), 1u);
+  const core::OrderWitness& witness = lazy[0].witnesses[0];
+  const core::OrderWitness& reference = eager[0].witnesses[0];
+  EXPECT_EQ(witness.pid, reference.pid);
+  EXPECT_EQ(witness.from_ticket, reference.from_ticket);
+  EXPECT_EQ(witness.to_ticket, reference.to_ticket);
+  EXPECT_EQ(witness.to_wait, reference.to_wait);
+}
+
+TEST(HoldStampTest, NestedStartsStrictlyIncreaseUnderAFrozenClock) {
+  // Rule (b): a clock that does not move between the stamp and the nested
+  // acquisition still orders them, so the join sees A before B (an eager
+  // start would read 100 twice, which the join skips as unordered).
+  util::ManualClock clock(100);
+  SyntheticMonitor a("A", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  SyntheticMonitor b("B", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  ThreadHolds holds;
+  a.lock_acquired(1, holds);
+  SyntheticMonitor::stamp_outer(1, holds);
+  b.lock_acquired(1, holds);
+  clock.set(200);
+  const util::TimeNs a_since = a.snapshot().holders.at(0).held_since;
+  const util::TimeNs b_since = b.snapshot().holders.at(0).held_since;
+  EXPECT_GE(a_since, 100);
+  EXPECT_LT(a_since, b_since);
+  const std::vector<core::OrderEdge> edges = order_edges(a, b);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].from_name, "A");
+}
+
+TEST(HoldStampTest, StampOfAHoldNoLongerOwnedWritesNothing) {
+  // pthread_mutex_destroy resets the shadow of a mutex its holder still
+  // holds; the holder's unlock is then a guarded no-op, so its record still
+  // names the mutex when another thread takes it as its outermost hold.
+  // The first thread's next stamp must not write the new owner's state.
+  util::ManualClock clock(100);
+  SyntheticMonitor a("A", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  ThreadHolds holds;
+  a.lock_acquired(1, holds);
+  a.reset();
+  a.unlocked(1, holds);
+  EXPECT_EQ(holds.unstamped, &a);
+  ThreadHolds other;
+  a.lock_acquired(2, other);
+  SyntheticMonitor::stamp_outer(1, holds);
+  EXPECT_EQ(holds.unstamped, nullptr);
+  const trace::SchedulingState state = a.snapshot();
+  ASSERT_EQ(state.holders.size(), 1u);
+  EXPECT_EQ(state.holders[0].pid, 2);
+  EXPECT_EQ(state.holders[0].held_since, SyntheticMonitor::kUnstamped);
+}
+
+TEST(HoldStampTest, RecursiveRelockKeepsStartAndTicket) {
+  util::ManualClock clock(100);
+  SyntheticMonitor a("A", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  ThreadHolds holds;
+  a.lock_acquired(1, holds);
+  const std::uint64_t ticket = a.snapshot().holders.at(0).ticket;
+  clock.set(200);
+  SyntheticMonitor::stamp_outer(1, holds);  // The relock's own stamp.
+  clock.set(300);
+  a.lock_acquired(1, holds);
+  trace::SchedulingState state = a.snapshot();
+  ASSERT_EQ(state.holders.size(), 1u);
+  EXPECT_EQ(state.holders[0].units, 2);
+  EXPECT_EQ(state.holders[0].held_since, 200);
+  EXPECT_EQ(state.holders[0].ticket, ticket);
+  EXPECT_EQ(holds.count, 2);
+
+  a.unlocked(1, holds);
+  state = a.snapshot();
+  ASSERT_EQ(state.holders.size(), 1u);
+  EXPECT_EQ(state.holders[0].units, 1);
+  EXPECT_EQ(state.holders[0].held_since, 200);
+  EXPECT_EQ(state.holders[0].ticket, ticket);
+  a.unlocked(1, holds);
+  EXPECT_TRUE(a.snapshot().holders.empty());
+  EXPECT_EQ(holds.count, 0);
+  // An unlock by a thread that does not hold it leaves the record alone.
+  a.unlocked(1, holds);
+  EXPECT_EQ(holds.count, 0);
+}
+
+TEST(HoldStampTest, OwnershipTicketsAreDistinctAndDisjointFromQueueTickets) {
+  // Ownership tickets come from the owner seqlock's version (even) and
+  // queue tickets from a counter under the queue lock (odd): every episode
+  // of the monitor gets its own, and the two kinds never meet.
+  util::ManualClock clock(1);
+  SyntheticMonitor m("m", SyntheticMonitor::Kind::kMutex, clock,
+                     small_config());
+  SyntheticMonitor c("c", SyntheticMonitor::Kind::kCondition, clock,
+                     small_config());
+  std::set<std::uint64_t> owned, queued;
+  ThreadHolds holds;
+  for (int i = 0; i < 50; ++i) {
+    m.lock_blocked(2);
+    queued.insert(m.snapshot().entry_queue.at(0).ticket);
+    m.lock_acquired(2, holds);
+    owned.insert(m.snapshot().running_ticket);
+    SyntheticMonitor::stamp_outer(2, holds);
+    m.lock_acquired(2, holds);  // Recursive: the same episode.
+    EXPECT_EQ(m.snapshot().running_ticket, *owned.rbegin());
+    m.unlocked(2, holds);
+    c.cond_parked(2);
+    queued.insert(c.snapshot().cond_queues.at(0).entries.at(0).ticket);
+    c.cond_unparked(2);
+    m.unlocked(2, holds);
+    m.lock_acquired(1);
+    owned.insert(m.snapshot().running_ticket);
+    m.unlocked(1);
+    if (i % 10 == 0) m.reset();
+  }
+  EXPECT_EQ(owned.size(), 100u);
+  EXPECT_EQ(queued.size(), 50u);  // Distinct per monitor, not across them.
+  for (const std::uint64_t ticket : owned) {
+    EXPECT_NE(ticket, 0u);
+    EXPECT_EQ(ticket % 2, 0u);
+    EXPECT_EQ(queued.count(ticket), 0u);
+    EXPECT_LT(ticket, 1000u);  // Short enough to read in a report.
+  }
+  for (const std::uint64_t ticket : queued) EXPECT_EQ(ticket % 2, 1u);
+}
+
+// --- A cancelled condition waiter (pthread_cancel). --------------------------
+
+struct CancelledWaiter {
+  SyntheticMonitor* cond = nullptr;
+  SyntheticMonitor* mutex = nullptr;
+  pthread_mutex_t real_mutex = PTHREAD_MUTEX_INITIALIZER;
+  pthread_cond_t never = PTHREAD_COND_INITIALIZER;
+  ThreadHolds holds;
+};
+
+constexpr Tid kWaiterTid = 7;
+
+/// The host's cleanup handler, as the shim's unlock wrapper sees it.
+void unlock_cancelled_waiter(void* raw) {
+  auto* waiter = static_cast<CancelledWaiter*>(raw);
+  waiter->mutex->unlocked(kWaiterTid, waiter->holds);
+  pthread_mutex_unlock(&waiter->real_mutex);
+}
+
+void* wait_until_cancelled(void* raw) {
+  auto* waiter = static_cast<CancelledWaiter*>(raw);
+  pthread_mutex_lock(&waiter->real_mutex);
+  waiter->mutex->lock_acquired(kWaiterTid, waiter->holds);
+  pthread_cleanup_push(unlock_cancelled_waiter, waiter);
+  for (;;) {
+    // The cond-wait wrappers' body.
+    const CondWaitScope scope(waiter->cond, waiter->mutex, kWaiterTid,
+                              waiter->holds);
+    pthread_cond_wait(&waiter->never, &waiter->real_mutex);
+  }
+  pthread_cleanup_pop(0);
+  return nullptr;
+}
+
+TEST(CondWaitScopeTest, CancelledWaiterLeavesNoShadowState) {
+  // A waiter cancelled inside pthread_cond_wait never returns from it; the
+  // scope's destructor still runs (glibc unwinds the cancelled thread), so
+  // the waiter leaves the condition's queue and its mutex hold is recorded
+  // and then released by the cleanup handler.
+  util::ManualClock clock(1);
+  SyntheticMonitor cond("c", SyntheticMonitor::Kind::kCondition, clock,
+                        small_config());
+  SyntheticMonitor mutex("m", SyntheticMonitor::Kind::kMutex, clock,
+                         small_config());
+  CancelledWaiter waiter;
+  waiter.cond = &cond;
+  waiter.mutex = &mutex;
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, nullptr, wait_until_cancelled, &waiter),
+            0);
+  // Parked on the shadow condition; once this thread can take the real
+  // mutex, the waiter is inside pthread_cond_wait.
+  for (int spin = 0; spin < 20000; ++spin) {
+    if (!cond.snapshot().cond_queues.at(0).entries.empty()) break;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(cond.snapshot().cond_queues.at(0).entries.size(), 1u);
+  pthread_mutex_lock(&waiter.real_mutex);
+  pthread_mutex_unlock(&waiter.real_mutex);
+  ASSERT_EQ(pthread_cancel(thread), 0);
+  void* result = nullptr;
+  ASSERT_EQ(pthread_join(thread, &result), 0);
+  EXPECT_EQ(result, PTHREAD_CANCELED);
+
+  EXPECT_TRUE(cond.snapshot().cond_queues.at(0).entries.empty());
+  const trace::SchedulingState state = mutex.snapshot();
+  EXPECT_FALSE(state.has_running());
+  EXPECT_TRUE(state.holders.empty());
+  EXPECT_EQ(waiter.holds.count, 0);
+  EXPECT_EQ(waiter.holds.unstamped, nullptr);
 }
 
 // --- Equivalence: native monitor vs. shim-adapted observation. ---------------
@@ -474,8 +773,13 @@ TEST(InterposeRuntimeTest, RegistryDedupesByAddressAndFindsWithoutCreating) {
 TEST(InterposeRuntimeTest, ForkChildRetiresTheParentRuntime) {
   ASSERT_NE(&Runtime::instance(), nullptr);
   ASSERT_NE(Runtime::instance_if_built(), nullptr);
-  // Cache the parent's tid, which the child must not inherit.
+  // Cache the parent's tid, which the child must not inherit, and give
+  // the thread a hold record, whose holds were on the parent's monitors.
   ASSERT_EQ(interpose::self_tid(), static_cast<Tid>(::syscall(SYS_gettid)));
+  util::ManualClock clock;
+  SyntheticMonitor parents("parents", SyntheticMonitor::Kind::kMutex, clock,
+                           small_config());
+  parents.lock_acquired(interpose::self_tid(), interpose::detail::t_holds);
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
@@ -486,8 +790,12 @@ TEST(InterposeRuntimeTest, ForkChildRetiresTheParentRuntime) {
     const bool retired = Runtime::instance_if_built() == nullptr;
     const bool own_tid =
         interpose::self_tid() == static_cast<Tid>(::syscall(SYS_gettid));
-    _exit(retired && own_tid ? 0 : 1);
+    const bool no_holds = interpose::detail::t_holds.count == 0 &&
+                          interpose::detail::t_holds.unstamped == nullptr;
+    _exit(retired && own_tid && no_holds ? 0 : 1);
   }
+  parents.unlocked(interpose::self_tid(), interpose::detail::t_holds);
+  EXPECT_EQ(interpose::detail::t_holds.count, 0);
   int status = 0;
   ASSERT_EQ(waitpid(child, &status, 0), child);
   ASSERT_TRUE(WIFEXITED(status));
